@@ -8,9 +8,7 @@
 //	            [-analyze report.json] [-flame out.folded]
 //	            [-report bundle.json] [-report-lean]
 //	            [-chaos spec] [-prefetch] [-alerts out.json] [-rules spec]
-//	            [-shards N]
 //	trenv-bench -selfbench report.json [-seed N] [-scale F]
-//	trenv-bench -selfbench-shard report.json [-seed N] [-scale F]
 //	trenv-bench -version
 //
 // -json prints the results as a JSON array instead of paper-style text;
@@ -49,16 +47,6 @@
 // scripts/bench-compare.sh regression-gates against the committed
 // BENCH_pr6.json baseline. Wall-clock readings are host-dependent;
 // the work counts inside the report are deterministic per seed/scale.
-//
-// -selfbench-shard runs the sharded variant of the suite: the same
-// 4-rack fleet workload at worker counts 1, 2, and 4, gated by
-// scripts/bench-compare.sh against the committed BENCH_shard.json.
-// The deterministic work totals must be identical across the rows
-// (the suite aborts otherwise), so the artifact doubles as a
-// worker-invariance proof. -shards sets the worker parallelism for
-// sharded-fleet experiment runs (the "sharding" experiment executes
-// its reference run at that count and checks it against the fixed
-// worker-count sweep); every emitted line is invariant of the flag.
 package main
 
 import (
@@ -78,13 +66,12 @@ import (
 	"repro/internal/selfbench"
 )
 
-// runSelfBench executes a wall-clock suite and writes the
+// runSelfBench executes the wall-clock suite and writes the
 // schema-stable report, echoing a human summary to stdout. When
 // reportPath is set, the artifact is additionally converted into a
 // trenv-report/v1 bundle and written there.
-func runSelfBench(path, reportPath string, seed int64, scale float64,
-	suite func(selfbench.Options) *selfbench.Report) error {
-	rep := suite(selfbench.Options{Seed: seed, Scale: scale})
+func runSelfBench(path, reportPath string, seed int64, scale float64) error {
+	rep := selfbench.RunSuite(selfbench.Options{Seed: seed, Scale: scale})
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -129,8 +116,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on every TrEnv platform the experiments build")
 	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on every cluster the experiments build, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
 	selfbenchPath := flag.String("selfbench", "", "run the wall-clock self-benchmark suite instead of experiments and write the report JSON to this file ('-' for stdout)")
-	selfbenchShard := flag.String("selfbench-shard", "", "run the sharded wall-clock suite (cluster-azure at worker counts 1/2/4) instead of experiments and write the report JSON to this file ('-' for stdout)")
-	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet experiment runs (0 = sequential; all outputs are invariant of it)")
 	reportPath := flag.String("report", "", "write the schema-stable trenv-report/v1 run bundle (figures, metrics, series, spans, analysis) to this file")
 	reportLean := flag.Bool("report-lean", false, "with -report: omit spans and sampled series, producing a committed-baseline-sized bundle")
 	version := flag.Bool("version", false, "print version and exit")
@@ -141,15 +126,8 @@ func main() {
 		return
 	}
 	if *selfbenchPath != "" {
-		if err := runSelfBench(*selfbenchPath, *reportPath, *seed, *scale, selfbench.RunSuite); err != nil {
+		if err := runSelfBench(*selfbenchPath, *reportPath, *seed, *scale); err != nil {
 			fmt.Fprintf(os.Stderr, "trenv-bench: selfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *selfbenchShard != "" {
-		if err := runSelfBench(*selfbenchShard, *reportPath, *seed, *scale, selfbench.RunShardSuite); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: selfbench-shard: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -172,7 +150,7 @@ func main() {
 		}
 		return
 	}
-	o := experiments.Options{Seed: *seed, Scale: *scale, Prefetch: *prefetch, Shards: *shards}
+	o := experiments.Options{Seed: *seed, Scale: *scale, Prefetch: *prefetch}
 	if *tracePath != "" || *analyzePath != "" || *flamePath != "" || *reportPath != "" {
 		o.Tracer = obs.NewTracer(0)
 	}

@@ -8,7 +8,7 @@
 //	trenvd [-addr :8080] [-policy trenv-cxl] [-seed 1] [-node n0]
 //	       [-slo-target-ms 0] [-slo-objective 0.99] [-sample-ms 100]
 //	       [-prefetch] [-promote-threshold 0] [-pprof] [-rules <spec>]
-//	       [-hedge-policy <spec>] [-hedge-delay <dur>] [-shards N]
+//	       [-hedge-policy <spec>] [-hedge-delay <dur>]
 //	trenvd -version
 //
 // -node labels every exported series (node="n0") so several trenvd
@@ -27,10 +27,7 @@
 // served on /alerts; -hedge-policy arms a request-hedging policy
 // ("delay:<dur>", "p<pct>", "clone:<n>" — README has the grammar) on
 // every cluster POST /experiments/run builds, and -hedge-delay is
-// shorthand for "delay:<dur>"; -shards sets the worker parallelism for
-// sharded-fleet runs under POST /experiments/run — physical parallelism
-// only, so every byte the daemon serves (including /report bundles) is
-// invariant of it; -version prints the build and exits.
+// shorthand for "delay:<dur>"; -version prints the build and exits.
 //
 // Endpoints:
 //
@@ -108,7 +105,6 @@ type server struct {
 	started  time.Time             // wall-clock start, denominator for /selfstats rates
 	pprof    bool                  // serve /debug/pprof/ when set
 	hedge    *trenv.HedgePolicy    // armed on every cluster POST /experiments/run builds
-	shards   int                   // worker parallelism for sharded-fleet experiment runs
 }
 
 // serverOptions parameterize the control plane beyond policy and seed.
@@ -124,7 +120,6 @@ type serverOptions struct {
 	pprof        bool          // serve net/http/pprof under /debug/pprof/
 	rules        []trenv.AlertRule
 	hedge        *trenv.HedgePolicy // hedge policy for POST /experiments/run clusters
-	shards       int                // worker parallelism for sharded-fleet experiment runs
 }
 
 // newServer builds the control plane over a fresh simulated platform
@@ -161,7 +156,6 @@ func newServerWith(o serverOptions) *server {
 	reg.GaugeFunc("trenv_breaker_state", "Circuit-breaker position (0 closed, 1 open, 2 half-open).", labels,
 		func() float64 { return float64(breaker.State()) })
 	reg.CounterFunc("trenv_breaker_opens_total", "Circuit-breaker trips to open.", labels, breaker.Opens)
-	trenv.RegisterSchedulerTraceLog(reg, labels, pl.Engine().AttachTraceLog(4096))
 	trenv.RegisterTracerDrops(reg, labels, tracer)
 	trenv.RegisterBuildInfo(reg, labels)
 	recorder := trenv.NewFlightRecorder(reg, 0)
@@ -185,7 +179,6 @@ func newServerWith(o serverOptions) *server {
 		started:  time.Now(),
 		pprof:    o.pprof,
 		hedge:    o.hedge,
-		shards:   o.shards,
 	}
 }
 
@@ -276,7 +269,6 @@ func main() {
 	hedgePolicy := flag.String("hedge-policy", "", "request-hedging policy for POST /experiments/run clusters, e.g. 'delay:50ms', 'p95', 'clone:2'")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "shorthand for -hedge-policy delay:<dur>")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "bounded drain window for graceful shutdown on SIGINT/SIGTERM")
-	shards := flag.Int("shards", 0, "worker parallelism for sharded-fleet runs under POST /experiments/run (0 = sequential; every served byte is invariant of it)")
 	pprofOn := flag.Bool("pprof", false, "serve Go net/http/pprof profiles under /debug/pprof/")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -325,7 +317,6 @@ func main() {
 		pprof:        *pprofOn,
 		rules:        rules,
 		hedge:        hedge,
-		shards:       *shards,
 	})
 	srv := &http.Server{Addr: *addr, Handler: s.mux()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -837,7 +828,7 @@ func (s *server) runExperiment(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	res, ok := trenv.RunExperiment(req.ID, trenv.ExperimentOptions{Seed: req.Seed, Scale: req.Scale, Hedge: s.hedge, Shards: s.shards})
+	res, ok := trenv.RunExperiment(req.ID, trenv.ExperimentOptions{Seed: req.Seed, Scale: req.Scale, Hedge: s.hedge})
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown experiment %q", req.ID)
 		return

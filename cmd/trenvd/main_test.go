@@ -130,7 +130,7 @@ func TestExperimentEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&ids); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 23 {
+	if len(ids) != 22 {
 		t.Fatalf("experiments = %d", len(ids))
 	}
 

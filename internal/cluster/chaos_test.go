@@ -239,19 +239,19 @@ func TestBreakerOpensUnderOutage(t *testing.T) {
 func TestMultiRackKillNodeGuards(t *testing.T) {
 	m := newMultiRack(t, 2, 1)
 	js, _ := workload.ProfileByName("JS")
-	if err := m.Register(js, 0); err != nil {
+	if err := m.RegisterHome(js, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.KillNode("bogus"); err == nil {
+	if err := m.KillNode(9); err == nil {
 		t.Fatal("unknown node name accepted")
 	}
-	if err := m.KillNode("r0n0"); err != nil {
+	if err := m.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.KillNode("r0n0"); err == nil {
+	if err := m.KillNode(0); err == nil {
 		t.Fatal("double kill accepted")
 	}
-	if err := m.KillNode("r1n0"); err == nil {
+	if err := m.KillNode(1); err == nil {
 		t.Fatal("killed the last node")
 	}
 	// Traffic still flows on the survivor.

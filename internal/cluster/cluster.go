@@ -1,8 +1,13 @@
-// Package cluster composes multiple faas nodes around one shared CXL
-// memory pool — the paper's rack-level deployment (§8.2): a consolidated
-// image and its mm-templates exist once per rack, because pool offsets
-// are machine independent, and every node's instances attach to the same
-// read-only pages.
+// Package cluster composes faas nodes into racks around pooled memory —
+// the paper's deployment model (§8.2). A rack is a set of nodes sharing
+// one CXL pool: a consolidated image and its mm-templates exist once per
+// rack, because pool offsets are machine independent, and every node's
+// instances attach to the same read-only pages. A larger cluster is a
+// list of such racks: each function's image is homed in one rack's pool,
+// and the other racks' nodes attach templates whose PTEs point across
+// the inter-rack RDMA fabric at the same data — byte-addressable direct
+// reads at home, lazy RDMA fetches on spillover, the T-CXL vs T-RDMA
+// trade within one cluster.
 package cluster
 
 import (
@@ -20,21 +25,36 @@ import (
 	"repro/internal/workload"
 )
 
-// Cluster is a rack of nodes sharing one CXL pool.
+// Cluster is a list of racks, each a set of nodes sharing one CXL pool.
+// New builds the one-rack case; NewMultiRack builds several racks joined
+// by an RDMA fabric.
 type Cluster struct {
 	eng   *sim.Engine
-	cxl   *mem.Pool
-	store *snapshot.Store
-	nodes []*faas.Platform
-	down  map[int]bool
+	racks []*rack
+	nodes []*faas.Platform // every node, rack-major; indexes breakers and down
+	homes map[string]int   // function -> home rack
 
-	// Per-node circuit breakers over pool-fetch failure rate: pick
-	// routes around open breakers the way it routes around dead nodes.
+	// fabric is the inter-rack RDMA pool, and fabricStore interns one
+	// fabric-addressable image per function for every non-home rack (a
+	// window onto the home copy, not another copy — excluded from
+	// memory totals). Both are nil with one rack.
+	fabric      *mem.Pool
+	fabricStore *snapshot.Store
+	spillovers  sim.Counter
+
+	// dispatcher labels primary dispatches: "rack" for one rack,
+	// "fleet" for several.
+	dispatcher string
+
+	// Per-node health: crashed nodes and circuit breakers over pool-fetch
+	// failure rate. pick routes around open breakers the way it routes
+	// around dead nodes.
+	down     []bool
 	breakers []*fault.Breaker
 	chaos    *fault.Injector
 
 	// hedge owns dispatch, hedging/cloning, crash re-dispatch, and the
-	// no-loss accounting shared with MultiRack.
+	// no-loss accounting.
 	hedge *hedger
 
 	// resultHook, when non-nil, observes every node's terminal outcomes
@@ -48,66 +68,92 @@ type Cluster struct {
 	seed     int64
 }
 
-// New builds a cluster of n nodes. Each node gets cfg's policy and
-// sizing; the CXL pool, block store, and template registry are shared.
-// Only TrEnv-CXL makes sense rack-wide (the point of the experiment);
-// other policies are rejected.
+type rack struct {
+	cxl   *mem.Pool
+	store *snapshot.Store
+	nodes []*faas.Platform
+	first int // flat index of nodes[0]
+}
+
+// New builds a one-rack cluster of n nodes named n0..n<n-1>. Each node
+// gets cfg's policy and sizing; the CXL pool, block store, and template
+// registry are shared. The cluster owns the engine and the node names,
+// so cfg.Engine and cfg.Node are ignored. Only TrEnv-CXL makes sense
+// rack-wide (the point of the experiment); other policies are rejected.
 func New(n int, cfg faas.Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
 	}
+	return build(1, n, cfg)
+}
+
+// NewMultiRack builds racks x nodesPerRack nodes, one CXL pool per rack.
+// With more than one rack, nodes are named r<i>n<j> and the racks are
+// joined by the inter-rack RDMA fabric; NewMultiRack(1, n) is New(n).
+// cfg must use TrEnvCXL.
+func NewMultiRack(racks, nodesPerRack int, cfg faas.Config) (*Cluster, error) {
+	if racks <= 0 || nodesPerRack <= 0 {
+		return nil, fmt.Errorf("cluster: need positive rack/node counts, got %d x %d", racks, nodesPerRack)
+	}
+	return build(racks, nodesPerRack, cfg)
+}
+
+func build(racks, perRack int, cfg faas.Config) (*Cluster, error) {
 	if cfg.Policy != faas.PolicyTrEnvCXL {
 		return nil, fmt.Errorf("cluster: rack sharing requires trenv-cxl, got %q", cfg.Policy)
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine(cfg.Seed)
+	lat := mem.DefaultLatencyModel()
+	c := &Cluster{eng: eng, homes: make(map[string]int), dispatcher: "rack", seed: cfg.Seed}
+	if racks > 1 {
+		c.dispatcher = "fleet"
+		c.fabric = mem.NewPool(mem.RDMA, 0, lat)
+		c.fabricStore = snapshot.NewStore(mem.NewBlockStore(c.fabric), mmtemplate.NewRegistry())
+		c.fabric.SetHome("fabric")
 	}
-	cxl := mem.NewPool(mem.CXL, cfg.CXLCapacity, mem.DefaultLatencyModel())
-	// The shared pool lives on the rack's memory server, not on any
-	// compute node — remote-fetch spans report it as their home.
-	cxl.SetHome("mem0")
-	store := snapshot.NewStore(mem.NewBlockStore(cxl), mmtemplate.NewRegistry())
-	c := &Cluster{eng: eng, cxl: cxl, store: store, down: make(map[int]bool), seed: cfg.Seed}
-	for i := 0; i < n; i++ {
-		nodeCfg := cfg
-		nodeCfg.Engine = eng
-		nodeCfg.SharedStore = store
-		// cfg.Node acts as a rack prefix ("" keeps the classic n0..nN
-		// names; the sharded fleet passes "r2" to get "r2n0"...).
-		nodeCfg.Node = fmt.Sprintf("%sn%d", cfg.Node, i)
-		idx := i
-		userHook := cfg.OnResult
-		nodeCfg.OnResult = func(r faas.InvocationResult) {
-			c.onResult(idx, r)
-			if userHook != nil {
-				userHook(r)
-			}
+	for r := 0; r < racks; r++ {
+		rk := &rack{cxl: mem.NewPool(mem.CXL, cfg.CXLCapacity, lat), first: len(c.nodes)}
+		// The shared pool lives on the rack's memory server, not on any
+		// compute node — remote-fetch spans report it as their home.
+		if racks == 1 {
+			rk.cxl.SetHome("mem0")
+		} else {
+			rk.cxl.SetHome(c.rackName(r) + "mem")
 		}
-		c.nodes = append(c.nodes, faas.New(nodeCfg))
-		c.breakers = append(c.breakers, fault.NewBreaker(fault.DefaultBreakerConfig(), eng.Now))
-	}
-	c.hedge = newHedger(eng, hedgeHooks{
-		pick: func(fn string, exclude map[string]bool, _ bool) (*faas.Platform, string) {
-			return c.pickExcluding(fn, exclude), ""
-		},
-		nodes:   func() []*faas.Platform { return c.nodes },
-		deliver: c.deliver,
-		breaker: func(i int) *fault.Breaker {
-			if i < 0 {
-				return nil
+		rk.store = snapshot.NewStore(mem.NewBlockStore(rk.cxl), mmtemplate.NewRegistry())
+		for n := 0; n < perRack; n++ {
+			nodeCfg := cfg
+			nodeCfg.Engine = eng
+			nodeCfg.SharedStore = rk.store
+			nodeCfg.Node = fmt.Sprintf("%sn%d", c.rackName(r), n)
+			idx := len(c.nodes)
+			userHook := cfg.OnResult
+			nodeCfg.OnResult = func(res faas.InvocationResult) {
+				c.hedge.onResult(idx, res)
+				if userHook != nil {
+					userHook(res)
+				}
 			}
-			return c.breakers[i]
-		},
-		tracer: func() *obs.Tracer { return c.nodes[0].Tracer() },
-	})
+			node := faas.New(nodeCfg)
+			rk.nodes = append(rk.nodes, node)
+			c.nodes = append(c.nodes, node)
+			c.breakers = append(c.breakers, fault.NewBreaker(fault.DefaultBreakerConfig(), eng.Now))
+		}
+		c.racks = append(c.racks, rk)
+	}
+	c.down = make([]bool, len(c.nodes))
+	c.hedge = &hedger{c: c, maxRedispatch: DefaultMaxRedispatch}
 	return c, nil
 }
 
-// onResult funnels every node's terminal outcomes through the hedger:
-// breaker feeding, hedge-race settlement, and crash re-dispatch — never
-// silently completed, never lost.
-func (c *Cluster) onResult(node int, r faas.InvocationResult) { c.hedge.onResult(node, r) }
+// rackName is the name prefix of rack r's nodes: "" for a one-rack
+// cluster (n0, n1, ...), "r<r>" otherwise (r1n0, ...).
+func (c *Cluster) rackName(r int) string {
+	if c.fabric == nil {
+		return ""
+	}
+	return fmt.Sprintf("r%d", r)
+}
 
 func (c *Cluster) deliver(node int, r faas.InvocationResult) {
 	if c.resultHook != nil {
@@ -120,7 +166,11 @@ func (c *Cluster) deliver(node int, r faas.InvocationResult) {
 // onto every node. Set before RunTrace.
 func (c *Cluster) SetHedgePolicy(hp HedgePolicy) {
 	c.hedge.policy = hp
-	applyDeadline(c.nodes, hp)
+	if hp.Deadline > 0 {
+		for _, node := range c.nodes {
+			node.SetDeadline(hp.Deadline)
+		}
+	}
 }
 
 // HedgePolicy returns the armed policy (zero value = off).
@@ -143,7 +193,7 @@ func (c *Cluster) SetSettleHook(fn func(fn string, latency time.Duration, r faas
 }
 
 // SetResultHook observes every invocation's terminal outcome with its
-// node index. Set before RunTrace.
+// flat node index. Set before RunTrace.
 func (c *Cluster) SetResultHook(fn func(node int, r faas.InvocationResult)) {
 	c.resultHook = fn
 }
@@ -182,17 +232,22 @@ func (c *Cluster) RedispatchExhausted() int64 { return c.hedge.exhausted.Value()
 // zero — with hedging on, every extra attempt must terminate too.
 func (c *Cluster) Wedged() int64 { return c.hedge.wedged() }
 
-// Breakers exposes the per-node circuit breakers (node order).
+// Breakers exposes the per-node circuit breakers (flat Nodes() order).
 func (c *Cluster) Breakers() []*fault.Breaker { return c.breakers }
 
-// AttachChaos points every node's pools (and the shared CXL pool) at the
-// injector, wires node-crash events to KillNode, and arms the schedule.
-// Attach before RunTrace.
+// AttachChaos points every pool (the fabric, each rack's CXL pool, the
+// nodes' own pools) at the injector, wires node-crash events to
+// KillNode, and arms the schedule. Attach before RunTrace.
 func (c *Cluster) AttachChaos(inj *fault.Injector) {
 	c.chaos = inj
-	c.cxl.SetFaultAgent(inj, c.eng.Now)
-	for _, node := range c.nodes {
-		node.AttachFaults(inj)
+	if c.fabric != nil {
+		c.fabric.SetFaultAgent(inj, c.eng.Now)
+	}
+	for _, rk := range c.racks {
+		rk.cxl.SetFaultAgent(inj, c.eng.Now)
+		for _, node := range rk.nodes {
+			node.AttachFaults(inj)
+		}
 	}
 	inj.OnNodeCrash(func(name string) {
 		for i, node := range c.nodes {
@@ -217,28 +272,75 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 // a run report's identity.
 func (c *Cluster) Seed() int64 { return c.seed }
 
-// Nodes returns the cluster's platforms.
+// Nodes returns every node, rack-major.
 func (c *Cluster) Nodes() []*faas.Platform { return c.nodes }
 
-// Pool returns the shared CXL pool.
-func (c *Cluster) Pool() *mem.Pool { return c.cxl }
+// Racks returns the rack count.
+func (c *Cluster) Racks() int { return len(c.racks) }
 
-// Register deploys a function on every node; the consolidated image and
-// templates are built once (first node) and shared by the rest.
+// Pool returns rack 0's CXL pool (the only one for New).
+func (c *Cluster) Pool() *mem.Pool { return c.racks[0].cxl }
+
+// Spillovers counts primary dispatches placed off their function's home
+// rack (always zero with one rack).
+func (c *Cluster) Spillovers() int64 { return c.spillovers.Value() }
+
+// Register deploys a function homed on rack 0.
 func (c *Cluster) Register(prof workload.FunctionProfile) error {
-	for i, node := range c.nodes {
-		if err := node.Register(prof); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", i, err)
+	return c.RegisterHome(prof, 0)
+}
+
+// RegisterHome deploys a function on every node with its consolidated
+// image homed in rack home's CXL pool. With one rack the first node
+// preprocesses the image under the configured placement and the rest
+// find it in the shared store. With several, the home rack holds the
+// one CXL copy and every other rack attaches to a fabric-addressable
+// image of it.
+func (c *Cluster) RegisterHome(prof workload.FunctionProfile, home int) error {
+	if home < 0 || home >= len(c.racks) {
+		return fmt.Errorf("cluster: home rack %d out of range", home)
+	}
+	if _, ok := c.homes[prof.Name]; ok {
+		return fmt.Errorf("cluster: function %q already registered", prof.Name)
+	}
+	if c.fabric == nil {
+		for i, node := range c.nodes {
+			if err := node.Register(prof); err != nil {
+				return fmt.Errorf("cluster: node %d: %w", i, err)
+			}
+		}
+		c.homes[prof.Name] = home
+		return nil
+	}
+	homeRack := c.racks[home]
+	homeImg, err := homeRack.store.Preprocess(prof.Snapshot(), snapshot.Placement{Hot: homeRack.cxl, HotFraction: 1})
+	if err != nil {
+		return err
+	}
+	fabricImg, err := c.fabricStore.Preprocess(prof.Snapshot(), snapshot.Placement{Hot: c.fabric, HotFraction: 1})
+	if err != nil {
+		return err
+	}
+	for ri, rk := range c.racks {
+		img := fabricImg
+		if ri == home {
+			img = homeImg
+		}
+		for _, node := range rk.nodes {
+			if err := node.RegisterWithImage(prof, img); err != nil {
+				return err
+			}
 		}
 	}
+	c.homes[prof.Name] = home
 	return nil
 }
 
-// KillNode takes a node out of rotation — its warm instances and local
-// memory are lost, but the consolidated images and templates live in the
-// shared pool, so the survivors keep serving every function with no
-// re-preprocessing. This is the disaggregation dividend: node-local
-// state is disposable.
+// KillNode takes node i (flat Nodes() index) out of rotation — its warm
+// instances and local memory are lost, but the consolidated images and
+// templates live in pool memory, so the survivors keep serving every
+// function with no re-preprocessing. This is the disaggregation
+// dividend: node-local state is disposable.
 func (c *Cluster) KillNode(i int) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: node %d out of range", i)
@@ -246,21 +348,26 @@ func (c *Cluster) KillNode(i int) error {
 	if c.down[i] {
 		return fmt.Errorf("cluster: node %d already down", i)
 	}
-	alive := 0
-	for j := range c.nodes {
-		if !c.down[j] && j != i {
-			alive++
-		}
-	}
-	if alive == 0 {
+	if c.alive() == 1 {
 		return fmt.Errorf("cluster: cannot kill the last node")
 	}
 	c.down[i] = true
 	// Crash the platform so the dead node's warm instances release their
 	// local-memory accounting and in-flight invocations abort (and are
-	// re-dispatched via onResult) instead of completing normally.
+	// re-dispatched via the hedger) instead of completing normally.
 	c.nodes[i].Crash()
 	return nil
+}
+
+// alive counts the nodes still in rotation.
+func (c *Cluster) alive() int {
+	n := 0
+	for _, d := range c.down {
+		if !d {
+			n++
+		}
+	}
+	return n
 }
 
 // AliveNodes returns the nodes still in rotation.
@@ -274,83 +381,80 @@ func (c *Cluster) AliveNodes() []*faas.Platform {
 	return out
 }
 
-// healthyNodes returns the alive nodes whose breakers admit traffic.
-// When every alive node's breaker is open there is nowhere better to
-// send work, so health filtering degrades to plain aliveness —
-// availability beats breaker hygiene.
-func (c *Cluster) healthyNodes() []*faas.Platform {
-	var out []*faas.Platform
-	for i, node := range c.nodes {
+// pick returns the node for fn's next attempt and whether it lies off
+// fn's home rack (a spillover). Candidates are the alive nodes whose
+// breakers admit traffic; when no alive node's breaker does, there is
+// nowhere better to send work, so the filter degrades to plain
+// aliveness — availability beats breaker hygiene. Only then are the
+// nodes in exclude (those the current race already tried) removed; nil
+// when none remains, and the hedger degrades to unhedged dispatch.
+//
+// Preference: (1) any candidate holding a warm instance, (2) the
+// least-loaded home-rack candidate unless it is saturated, (3) the
+// least-loaded candidate anywhere. Scans run in flat rack-major order
+// and only a strictly smaller load displaces the incumbent, so ties
+// break toward the lowest index — placement is a pure function of
+// cluster state, never of map iteration order.
+func (c *Cluster) pick(fn string, exclude map[string]bool) (*faas.Platform, bool) {
+	healthOnly := false
+	for i := range c.nodes {
 		if !c.down[i] && c.breakers[i].Allow() {
-			out = append(out, node)
+			healthOnly = true
+			break
 		}
 	}
-	if len(out) == 0 {
-		return c.AliveNodes()
+	ok := func(i int) bool {
+		return !c.down[i] && (!healthOnly || c.breakers[i].Allow()) && !exclude[c.nodes[i].NodeName()]
 	}
-	return out
-}
-
-// pick returns the node to run fn on: prefer a healthy node holding a
-// warm instance, else the least-loaded healthy node. Crashed nodes and
-// open-breaker nodes are skipped.
-func (c *Cluster) pick(fn string) *faas.Platform { return c.pickExcluding(fn, nil) }
-
-// pickExcluding is pick with nodes the current hedge race already tried
-// removed from candidacy; nil when no candidate remains (the hedger
-// degrades to unhedged dispatch then). Both the warm scan and the
-// least-loaded scan walk the node slice in index order and ties on
-// equal load break toward the lowest index — placement is a pure
-// function of cluster state, never of map iteration order.
-func (c *Cluster) pickExcluding(fn string, exclude map[string]bool) *faas.Platform {
-	var cand []*faas.Platform
-	for _, node := range c.healthyNodes() {
-		if exclude == nil || !exclude[node.NodeName()] {
-			cand = append(cand, node)
+	for i, node := range c.nodes {
+		if ok(i) && node.HasWarm(fn) {
+			return node, false
 		}
 	}
-	if len(cand) == 0 {
-		return nil
-	}
-	for _, node := range cand {
-		if node.HasWarm(fn) {
-			return node
-		}
-	}
-	best := cand[0]
-	for _, node := range cand[1:] {
-		if node.Active() < best.Active() {
+	home := c.racks[c.homes[fn]]
+	var best *faas.Platform
+	for i, node := range home.nodes {
+		if ok(home.first+i) && (best == nil || node.Active() < best.Active()) {
 			best = node
 		}
 	}
-	return best
+	if best != nil && best.Active() < best.Cores() {
+		return best, false
+	}
+	global := best
+	for i, node := range c.nodes {
+		if ok(i) && (global == nil || node.Active() < global.Active()) {
+			global = node
+		}
+	}
+	return global, global != best
 }
 
 // Invoke schedules one invocation at virtual time at, placing it when the
 // time arrives (so warm state is inspected at dispatch, not at submit).
 func (c *Cluster) Invoke(at time.Duration, fn string) {
 	c.eng.At(at, "dispatch/"+fn, func(p *sim.Proc) {
-		c.hedge.dispatch(p, fn, "rack")
+		c.hedge.dispatch(p, fn, c.dispatcher)
 	})
 }
 
 // AttachRecorder samples reg's series into rec every interval of
-// virtual time while RunTrace drives the rack (interval <= 0 uses
+// virtual time while RunTrace drives the cluster (interval <= 0 uses
 // obs.DefaultSampleInterval). Attach before RunTrace.
 func (c *Cluster) AttachRecorder(rec *obs.Recorder, every time.Duration) {
 	c.recorder = rec
 	c.recEvery = every
 }
 
-// AttachAlerts binds an alert engine to the rack: it evaluates on the
+// AttachAlerts binds an alert engine to the cluster: it evaluates on the
 // attached recorder's sampling instants (bound when RunTrace starts),
-// links incidents through the rack's shared tracer, and watches every
-// node's SLO tracker. Attach before RunTrace, alongside AttachRecorder
-// — without a recorder nothing drives evaluation.
+// links incidents through the shared tracer, and watches every node's
+// SLO tracker. Attach before RunTrace, alongside AttachRecorder —
+// without a recorder nothing drives evaluation.
 func (c *Cluster) AttachAlerts(ae *alert.Engine) {
 	c.alerts = ae
 	// Nodes share one tracer when Config.Tracer was set; the first
-	// node's view covers the rack.
+	// node's view covers the cluster.
 	ae.SetTracer(c.nodes[0].Tracer())
 	for _, node := range c.nodes {
 		ae.AddSLO(node.SLO())
@@ -361,7 +465,7 @@ func (c *Cluster) AttachAlerts(ae *alert.Engine) {
 // called).
 func (c *Cluster) Alerts() *alert.Engine { return c.alerts }
 
-// active returns the invocations in flight across the rack.
+// active returns the invocations in flight across the cluster.
 func (c *Cluster) active() int {
 	n := 0
 	for _, node := range c.nodes {
@@ -370,7 +474,7 @@ func (c *Cluster) active() int {
 	return n
 }
 
-// RunTrace dispatches a trace across the rack and runs to completion.
+// RunTrace dispatches a trace across the cluster and runs to completion.
 func (c *Cluster) RunTrace(tr workload.Trace) {
 	for _, inv := range tr {
 		c.Invoke(inv.At, inv.Function)
@@ -387,14 +491,28 @@ func (c *Cluster) RunTrace(tr workload.Trace) {
 	c.eng.Run()
 }
 
-// DedupFactor returns logical/unique bytes for the rack's consolidated
-// images: how many per-node copies the shared pool replaced.
+// DedupFactor returns logical/unique bytes for the racks' consolidated
+// images: how many per-node copies the shared pools replaced.
 func (c *Cluster) DedupFactor() float64 {
-	unique := c.store.Blocks().UniqueBytes()
+	var logical, unique int64
+	for _, rk := range c.racks {
+		logical += rk.store.Blocks().LogicalBytes()
+		unique += rk.store.Blocks().UniqueBytes()
+	}
 	if unique == 0 {
 		return 1
 	}
-	return float64(c.store.Blocks().LogicalBytes()) / float64(unique)
+	return float64(logical) / float64(unique)
+}
+
+// CXLBytes sums the racks' pool usage (the fabric is a window, not a
+// copy, so it is excluded).
+func (c *Cluster) CXLBytes() int64 {
+	var n int64
+	for _, rk := range c.racks {
+		n += rk.cxl.Tracker().Used()
+	}
+	return n
 }
 
 // TotalPeakMemory sums the nodes' DRAM high-water marks.

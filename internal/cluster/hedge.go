@@ -7,10 +7,8 @@ package cluster
 // node can serve *any* function at warm-ish cost. That makes the
 // classic tail-killing move cheap: race a second attempt of a slow
 // invocation on another node, keep whichever finishes first, cancel the
-// loser. The hedger below is that dispatch state machine, shared
-// verbatim by Cluster and MultiRack so both topologies behave
-// identically, and driven purely by virtual time so same-seed runs stay
-// byte-identical with hedging on.
+// loser. The hedger below is that dispatch state machine, driven purely
+// by virtual time so same-seed runs stay byte-identical with hedging on.
 
 import (
 	"fmt"
@@ -19,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/faas"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -224,32 +221,11 @@ type hedgeGroup struct {
 
 func (g *hedgeGroup) active() int { return g.attempts - g.terminals }
 
-// hedgeHooks is what a topology (Cluster, MultiRack) lends the hedger.
-type hedgeHooks struct {
-	// pick returns the node for the next attempt of fn, skipping nodes
-	// in exclude, or nil when no healthy candidate remains. primary
-	// marks the invocation's first dispatch (MultiRack counts
-	// spillovers there only). The second return overrides the
-	// dispatcher label ("" keeps the hedger's default).
-	pick func(fn string, exclude map[string]bool, primary bool) (*faas.Platform, string)
-	// nodes lists the fleet for the percentile estimator.
-	nodes func() []*faas.Platform
-	// deliver forwards a terminal result to the topology's result hook.
-	// node is the flat node index, -1 for synthetic results.
-	deliver func(node int, r faas.InvocationResult)
-	// breaker returns the node's circuit breaker (nil for -1).
-	breaker func(node int) *fault.Breaker
-	// tracer returns the fleet tracer hedge spans record into (nil =
-	// tracing off).
-	tracer func() *obs.Tracer
-}
-
-// hedger is the dispatch state machine Cluster and MultiRack share: it
-// owns the no-loss accounting (the extended zero-wedged invariant), the
-// hedge policy, and the crash re-dispatch budget.
+// hedger is the cluster's dispatch state machine: it owns the no-loss
+// accounting (the extended zero-wedged invariant), the hedge policy, and
+// the crash re-dispatch budget.
 type hedger struct {
-	eng           *sim.Engine
-	hooks         hedgeHooks
+	c             *Cluster
 	policy        HedgePolicy
 	maxRedispatch int
 
@@ -267,10 +243,6 @@ type hedger struct {
 	cancelled    sim.Counter // losing attempts cooperatively cancelled
 	exhausted    sim.Counter // invocations that spent the re-dispatch budget
 	spans        int64       // hedge-span sequence (trace identity)
-}
-
-func newHedger(eng *sim.Engine, hooks hedgeHooks) *hedger {
-	return &hedger{eng: eng, hooks: hooks, maxRedispatch: DefaultMaxRedispatch}
 }
 
 // wedged is the extended no-loss invariant: every launched attempt
@@ -299,11 +271,20 @@ func (h *hedger) dispatch(p *sim.Proc, fn, dispatcher string) {
 }
 
 func (h *hedger) launchPrimary(p *sim.Proc, g *hedgeGroup, dispatcher string) {
-	node, override := h.hooks.pick(g.fn, nil, true)
-	if override != "" {
-		dispatcher = override
-	}
+	node, dispatcher := h.pickPrimary(g.fn, dispatcher)
 	h.runOn(p, g, node, dispatcher)
+}
+
+// pickPrimary places an invocation's first attempt. A placement off the
+// function's home rack counts as a spillover and is labelled
+// "fleet-spill"; hedge and re-dispatch attempts keep their own labels.
+func (h *hedger) pickPrimary(fn, dispatcher string) (*faas.Platform, string) {
+	node, spilled := h.c.pick(fn, nil)
+	if spilled {
+		h.c.spillovers.Inc()
+		dispatcher = "fleet-spill"
+	}
+	return node, dispatcher
 }
 
 // runOn launches one attempt on node inside p, blocking until the
@@ -325,15 +306,15 @@ func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, node *faas.Platform, dispatch
 // the race has not tried. The trigger is pure virtual time, so
 // same-seed runs hedge at identical instants.
 func (h *hedger) armHedge(g *hedgeGroup) {
-	h.eng.After(h.hedgeDelay(g.fn), func() {
+	h.c.eng.After(h.hedgeDelay(g.fn), func() {
 		if g.settled || g.hedges > 0 || g.active() == 0 {
 			return
 		}
-		h.eng.Go("hedge/"+g.fn, func(p *sim.Proc) {
+		h.c.eng.Go("hedge/"+g.fn, func(p *sim.Proc) {
 			if g.settled || g.active() == 0 {
 				return
 			}
-			node, _ := h.hooks.pick(g.fn, g.nodesTried, false)
+			node, _ := h.c.pick(g.fn, g.nodesTried)
 			if node == nil {
 				// No healthy distinct target: degrade to unhedged.
 				h.hedgeSkips.Inc()
@@ -354,14 +335,11 @@ func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string) {
 	if want < 2 {
 		want = 2
 	}
-	primary, override := h.hooks.pick(g.fn, nil, true)
-	if override != "" {
-		dispatcher = override
-	}
+	primary, dispatcher := h.pickPrimary(g.fn, dispatcher)
 	reserved := map[string]bool{primary.NodeName(): true}
 	var extras []*faas.Platform
 	for len(extras) < want-1 {
-		node, _ := h.hooks.pick(g.fn, reserved, false)
+		node, _ := h.c.pick(g.fn, reserved)
 		if node == nil {
 			h.hedgeSkips.Inc()
 			break
@@ -373,7 +351,7 @@ func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string) {
 		node := node
 		g.hedges++
 		h.hedged.Inc()
-		h.eng.Go("clone/"+g.fn, func(p2 *sim.Proc) { h.runOn(p2, g, node, "clone") })
+		h.c.eng.Go("clone/"+g.fn, func(p2 *sim.Proc) { h.runOn(p2, g, node, "clone") })
 	}
 	h.runOn(p, g, primary, dispatcher)
 }
@@ -406,7 +384,7 @@ func (h *hedger) hedgeDelay(fn string) time.Duration {
 // ok=false until MinSamples post-warmup observations exist.
 func (h *hedger) estimate(fn string) (time.Duration, bool) {
 	var merged sim.Histogram
-	for _, node := range h.hooks.nodes() {
+	for _, node := range h.c.nodes {
 		if fm, ok := node.Metrics().PerFn[fn]; ok {
 			merged.Merge(&fm.E2E)
 		}
@@ -435,14 +413,14 @@ func (h *hedger) onResult(node int, r faas.InvocationResult) {
 	}
 	if r.Outcome == faas.OutcomeCancelled {
 		h.cancelled.Inc()
-		h.hooks.deliver(node, r)
+		h.c.deliver(node, r)
 		h.finish(g)
 		return
 	}
 	wasSettled := g != nil && g.settled
 	h.results.Inc()
 	if r.Outcome == faas.OutcomeCrashed {
-		h.hooks.deliver(node, r)
+		h.c.deliver(node, r)
 		if g != nil && (wasSettled || g.active() > 0) {
 			// A sibling already won, or is still racing: the crash
 			// consumed this attempt and costs nothing further.
@@ -454,11 +432,9 @@ func (h *hedger) onResult(node int, r faas.InvocationResult) {
 	}
 	// A fault-tainted outcome (error, fallback, or success-after-retry)
 	// counts against the node's pool-fetch health.
-	if b := h.hooks.breaker(node); b != nil {
-		b.Record(r.FaultTrace == "" && r.Outcome != faas.OutcomeError)
-	}
+	h.c.breakers[node].Record(r.FaultTrace == "" && r.Outcome != faas.OutcomeError)
 	if g == nil {
-		h.hooks.deliver(node, r)
+		h.c.deliver(node, r)
 		return
 	}
 	// A deadline-exceeded attempt with a live sibling doesn't settle
@@ -478,9 +454,9 @@ func (h *hedger) onResult(node int, r faas.InvocationResult) {
 		}
 	}
 	if !wasSettled {
-		h.hooks.deliver(node, r)
+		h.c.deliver(node, r)
 		if settles && h.onSettle != nil {
-			h.onSettle(g.fn, h.eng.Now()-g.start, r)
+			h.onSettle(g.fn, h.c.eng.Now()-g.start, r)
 		}
 	}
 	h.finish(g)
@@ -495,7 +471,7 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 	if g == nil {
 		// A crash from a directly-invoked (token-less) attempt: adopt it
 		// into a fresh group so the budget binds from here on.
-		g = &hedgeGroup{fn: fn, start: h.eng.Now(), nodesTried: make(map[string]bool)}
+		g = &hedgeGroup{fn: fn, start: h.c.eng.Now(), nodesTried: make(map[string]bool)}
 	}
 	if g.redisp >= h.maxRedispatch {
 		h.exhausted.Inc()
@@ -504,11 +480,11 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 			Outcome:  faas.OutcomeRedispatchExhausted,
 			Err:      fmt.Errorf("cluster: %s: gave up after %d crash re-dispatches", fn, g.redisp),
 		}
-		h.hooks.deliver(-1, r)
+		h.c.deliver(-1, r)
 		if !g.settled {
 			g.settled = true
 			if h.onSettle != nil {
-				h.onSettle(fn, h.eng.Now()-g.start, r)
+				h.onSettle(fn, h.c.eng.Now()-g.start, r)
 			}
 		}
 		h.finish(g)
@@ -516,8 +492,8 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 	}
 	g.redisp++
 	h.redispatched.Inc()
-	h.eng.Go("redispatch/"+fn, func(p *sim.Proc) {
-		node, _ := h.hooks.pick(fn, nil, false)
+	h.c.eng.Go("redispatch/"+fn, func(p *sim.Proc) {
+		node, _ := h.c.pick(fn, nil)
 		h.runOn(p, g, node, "redispatch")
 	})
 }
@@ -534,12 +510,12 @@ func (h *hedger) finish(g *hedgeGroup) {
 	if g.attempts < 2 {
 		return
 	}
-	tr := h.hooks.tracer()
+	tr := h.c.nodes[0].Tracer()
 	if tr == nil {
 		return
 	}
 	h.spans++
-	sp := obs.NewSpan("hedge/"+g.fn, g.start, h.eng.Now())
+	sp := obs.NewSpan("hedge/"+g.fn, g.start, h.c.eng.Now())
 	sp.SetAttr("function", g.fn).SetAttr("policy", string(h.policy.Mode)).
 		SetAttr("attempts", strconv.Itoa(g.attempts)).
 		SetAttr("hedges", strconv.Itoa(g.hedges))
@@ -559,15 +535,4 @@ func (h *hedger) finish(g *hedgeGroup) {
 	}
 	sp.AssignIDs(obs.TraceIDFor("fleet", "hedge", g.fn, strconv.FormatInt(h.spans, 10)))
 	tr.Record(sp)
-}
-
-// applyDeadline pushes the policy's per-invocation deadline onto every
-// node (no-op when the policy has none).
-func applyDeadline(nodes []*faas.Platform, hp HedgePolicy) {
-	if hp.Deadline <= 0 {
-		return
-	}
-	for _, node := range nodes {
-		node.SetDeadline(hp.Deadline)
-	}
 }

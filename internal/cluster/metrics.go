@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -10,11 +8,11 @@ import (
 )
 
 // registerBreakers publishes one breaker-state gauge and opens counter
-// per node; names align breakers[i] with nodeName(i).
-func registerBreakers(reg *obs.Registry, breakers []*fault.Breaker, nodeName func(int) string) {
+// per node; breakers[i] belongs to nodes[i].
+func registerBreakers(reg *obs.Registry, breakers []*fault.Breaker, nodes []*faas.Platform) {
 	for i, b := range breakers {
 		b := b
-		labels := map[string]string{"node": nodeName(i)}
+		labels := map[string]string{"node": nodes[i].NodeName()}
 		reg.GaugeFunc("trenv_breaker_state", "Circuit-breaker position (0 closed, 1 open, 2 half-open).", labels,
 			func() float64 { return float64(b.State()) })
 		reg.CounterFunc("trenv_breaker_opens_total", "Circuit-breaker trips to open.", labels, b.Opens)
@@ -78,11 +76,9 @@ func registerFleetAggregates(reg *obs.Registry, nodes []*faas.Platform, alive fu
 	reg.GaugeFunc("trenv_cluster_nodes_alive", "Nodes currently in rotation.", nil, alive)
 }
 
-// registerHedger publishes the dispatch-layer counters every topology
-// shares: crash re-dispatch, hedging, cancellation, and exhaustion.
-// labels distinguishes multiple hedgers in one registry (the sharded
-// fleet has one per rack); nil keeps the classic unlabeled series.
-func registerHedger(reg *obs.Registry, h *hedger, labels map[string]string) {
+// registerHedger publishes the dispatch-layer counters: crash
+// re-dispatch, hedging, cancellation, and exhaustion.
+func registerHedger(reg *obs.Registry, h *hedger) {
 	counters := []struct {
 		name, help string
 		c          *sim.Counter
@@ -95,74 +91,66 @@ func registerHedger(reg *obs.Registry, h *hedger, labels map[string]string) {
 		{"trenv_redispatch_exhausted_total", "Invocations abandoned after exhausting their re-dispatch budget.", &h.exhausted},
 	}
 	for _, c := range counters {
-		reg.CounterFunc(c.name, c.help, labels, c.c.Value)
+		reg.CounterFunc(c.name, c.help, nil, c.c.Value)
 	}
 }
 
-// RegisterMetrics publishes the whole rack into reg: every node's full
-// metric surface under node="n<i>" labels, the shared CXL pool and
-// template registry once under scope="rack", and trenv_cluster_*
-// aggregates that always equal the sum of the per-node series.
+// RegisterMetrics publishes the cluster into reg: every node's full
+// metric surface under node="<name>" labels, each rack's CXL pool and
+// template registry under scope="rack", and trenv_cluster_* aggregates
+// that always equal the sum of the per-node series. One rack adds
+// trenv_cluster_dedup_factor. Several racks add rack="r<i>" labels to
+// the node and rack series, the inter-rack fabric under
+// scope="fabric", per-rack invocation roll-ups, and the spillover
+// counter.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
-	for _, node := range c.nodes {
-		node.RegisterMetricsLabeled(reg, map[string]string{"node": node.NodeName()})
-	}
-	rack := map[string]string{"scope": "rack"}
-	c.cxl.RegisterMetricsLabeled(reg, rack)
-	c.store.Registry().RegisterMetrics(reg, rack)
-	registerFleetAggregates(reg, c.nodes, func() float64 { return float64(len(c.AliveNodes())) })
-	reg.GaugeFunc("trenv_cluster_dedup_factor", "Logical/unique bytes for the rack's consolidated images.", rack,
-		c.DedupFactor)
-	registerBreakers(reg, c.breakers, func(i int) string { return c.nodes[i].NodeName() })
-	registerHedger(reg, c.hedge, nil)
-	if c.chaos != nil {
-		c.chaos.RegisterMetrics(reg, nil)
-	}
-}
-
-// RegisterMetrics publishes the multi-rack fleet into reg: nodes under
-// rack="r<i>",node="r<i>n<j>" labels, each rack's CXL pool and template
-// registry under scope="rack", the inter-rack fabric under
-// scope="fabric", per-rack invocation roll-ups, and the same
-// trenv_cluster_* fleet aggregates the single-rack Cluster exports.
-func (m *MultiRack) RegisterMetrics(reg *obs.Registry) {
-	for ri, rk := range m.racks {
-		rackName := fmt.Sprintf("r%d", ri)
-		for ni, node := range rk.nodes {
-			node.RegisterMetricsLabeled(reg, map[string]string{
-				"rack": rackName,
-				"node": fmt.Sprintf("%sn%d", rackName, ni),
-			})
+	multi := c.fabric != nil
+	for ri, rk := range c.racks {
+		rackLabels := map[string]string{"scope": "rack"}
+		if multi {
+			rackLabels["rack"] = c.rackName(ri)
 		}
-		rackLabels := map[string]string{"scope": "rack", "rack": rackName}
+		for _, node := range rk.nodes {
+			labels := map[string]string{"node": node.NodeName()}
+			if multi {
+				labels["rack"] = c.rackName(ri)
+			}
+			node.RegisterMetricsLabeled(reg, labels)
+		}
 		rk.cxl.RegisterMetricsLabeled(reg, rackLabels)
 		rk.store.Registry().RegisterMetrics(reg, rackLabels)
 	}
-	fabric := map[string]string{"scope": "fabric"}
-	m.fabric.RegisterMetricsLabeled(reg, fabric)
-	m.fabricStore.Registry().RegisterMetrics(reg, fabric)
-	reg.CounterSetFunc("trenv_rack_invocations_total", "Recorded invocations summed per rack.",
-		func() []obs.LabeledValue {
-			out := make([]obs.LabeledValue, 0, len(m.racks))
-			for ri, rk := range m.racks {
-				var n int64
-				for _, node := range rk.nodes {
-					n += int64(node.Metrics().Invocations())
+	if multi {
+		fabric := map[string]string{"scope": "fabric"}
+		c.fabric.RegisterMetricsLabeled(reg, fabric)
+		c.fabricStore.Registry().RegisterMetrics(reg, fabric)
+		reg.CounterSetFunc("trenv_rack_invocations_total", "Recorded invocations summed per rack.",
+			func() []obs.LabeledValue {
+				out := make([]obs.LabeledValue, 0, len(c.racks))
+				for ri, rk := range c.racks {
+					var n int64
+					for _, node := range rk.nodes {
+						n += int64(node.Metrics().Invocations())
+					}
+					out = append(out, obs.LabeledValue{
+						Labels: map[string]string{"rack": c.rackName(ri)},
+						Value:  float64(n),
+					})
 				}
-				out = append(out, obs.LabeledValue{
-					Labels: map[string]string{"rack": fmt.Sprintf("r%d", ri)},
-					Value:  float64(n),
-				})
-			}
-			return out
-		})
-	nodes := m.Nodes()
-	registerFleetAggregates(reg, nodes, func() float64 { return float64(len(nodes) - len(m.down)) })
-	reg.CounterFunc("trenv_cluster_spillovers_total", "Invocations dispatched off their home rack.", nil,
-		m.spillovers.Value)
-	registerBreakers(reg, m.breakers, func(i int) string { return nodes[i].NodeName() })
-	registerHedger(reg, m.hedge, nil)
-	if m.chaos != nil {
-		m.chaos.RegisterMetrics(reg, nil)
+				return out
+			})
+	}
+	registerFleetAggregates(reg, c.nodes, func() float64 { return float64(c.alive()) })
+	if multi {
+		reg.CounterFunc("trenv_cluster_spillovers_total", "Invocations dispatched off their home rack.", nil,
+			c.spillovers.Value)
+	} else {
+		reg.GaugeFunc("trenv_cluster_dedup_factor", "Logical/unique bytes for the rack's consolidated images.",
+			map[string]string{"scope": "rack"}, c.DedupFactor)
+	}
+	registerBreakers(reg, c.breakers, c.nodes)
+	registerHedger(reg, c.hedge)
+	if c.chaos != nil {
+		c.chaos.RegisterMetrics(reg, nil)
 	}
 }

@@ -175,7 +175,7 @@ func TestClusterRecorderDeterministic(t *testing.T) {
 func TestMultiRackMetricsLabelsAndAggregates(t *testing.T) {
 	m := newMultiRack(t, 2, 2)
 	for i, p := range workload.Table4() {
-		if err := m.Register(p, i%2); err != nil {
+		if err := m.RegisterHome(p, i%2); err != nil {
 			t.Fatal(err)
 		}
 	}

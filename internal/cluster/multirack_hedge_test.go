@@ -14,7 +14,7 @@ import (
 
 // multiRackHedge builds a 2x2 fleet with Table 4 homed on alternating
 // racks and a settle hook rendering deterministic lines.
-func multiRackHedge(t *testing.T, seed int64) (*MultiRack, *[]string) {
+func multiRackHedge(t *testing.T, seed int64) (*Cluster, *[]string) {
 	t.Helper()
 	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
 	cfg.Seed = seed
@@ -24,7 +24,7 @@ func multiRackHedge(t *testing.T, seed int64) (*MultiRack, *[]string) {
 		t.Fatal(err)
 	}
 	for i, p := range workload.Table4() {
-		if err := m.Register(p, i%2); err != nil {
+		if err := m.RegisterHome(p, i%2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,12 +57,12 @@ func TestMultiRackHedgeLoserCancelled(t *testing.T) {
 // terminates as redispatch-exhausted; with the default budget the same
 // crash re-dispatches and settles successfully.
 func TestMultiRackRedispatchCap(t *testing.T) {
-	kill := func(m *MultiRack) {
+	kill := func(m *Cluster) {
 		m.Engine().At(5*time.Millisecond, "kill/r1n0", func(p *sim.Proc) {
 			// JS is homed on rack 1 (Table 4 index 1, alternating homes) and
 			// the idle-fleet tie-break places the primary on the home rack's
-			// first node.
-			if err := m.KillNode("r1n0"); err != nil {
+			// first node, r1n0 (flat index 2).
+			if err := m.KillNode(2); err != nil {
 				t.Errorf("mid-run kill: %v", err)
 			}
 		})
@@ -94,7 +94,7 @@ func TestMultiRackRedispatchCap(t *testing.T) {
 
 // multiRackChaosRun drives the bursty trace through the 2x2 fleet with
 // hedging armed under flaky-RDMA chaos plus a node crash.
-func multiRackChaosRun(t *testing.T, seed int64) ([]string, *MultiRack) {
+func multiRackChaosRun(t *testing.T, seed int64) ([]string, *Cluster) {
 	t.Helper()
 	m, lines := multiRackHedge(t, seed)
 	m.SetHedgePolicy(HedgePolicy{Mode: HedgeDelay, Delay: 5 * time.Millisecond})

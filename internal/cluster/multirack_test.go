@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-func newMultiRack(t *testing.T, racks, nodes int) *MultiRack {
+func newMultiRack(t *testing.T, racks, nodes int) *Cluster {
 	t.Helper()
 	m, err := NewMultiRack(racks, nodes, faas.DefaultConfig(faas.PolicyTrEnvCXL))
 	if err != nil {
@@ -29,7 +29,7 @@ func TestNewMultiRackValidation(t *testing.T) {
 func TestRegisterHomesOneCXLCopy(t *testing.T) {
 	m := newMultiRack(t, 3, 2)
 	js, _ := workload.ProfileByName("JS")
-	if err := m.Register(js, 1); err != nil {
+	if err := m.RegisterHome(js, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One CXL copy cluster-wide, on the home rack only.
@@ -39,10 +39,10 @@ func TestRegisterHomesOneCXLCopy(t *testing.T) {
 	if m.racks[0].cxl.Tracker().Used() != 0 || m.racks[2].cxl.Tracker().Used() != 0 {
 		t.Fatal("non-home racks hold CXL copies")
 	}
-	if err := m.Register(js, 1); err == nil {
+	if err := m.RegisterHome(js, 1); err == nil {
 		t.Fatal("duplicate register accepted")
 	}
-	if err := m.Register(js, 9); err == nil {
+	if err := m.RegisterHome(js, 9); err == nil {
 		t.Fatal("bad home rack accepted")
 	}
 }
@@ -50,7 +50,7 @@ func TestRegisterHomesOneCXLCopy(t *testing.T) {
 func TestHomeRackPreferredNoSpillWhenIdle(t *testing.T) {
 	m := newMultiRack(t, 2, 2)
 	js, _ := workload.ProfileByName("JS")
-	m.Register(js, 0)
+	m.RegisterHome(js, 0)
 	for i := 0; i < 3; i++ {
 		m.Invoke(time.Duration(i)*20*time.Second, "JS")
 	}
@@ -77,7 +77,7 @@ func TestSaturatedHomeRackSpillsOverRDMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	vp, _ := workload.ProfileByName("VP") // long-running
-	m.Register(vp, 0)
+	m.RegisterHome(vp, 0)
 	for i := 0; i < 8; i++ {
 		m.Invoke(0, "VP")
 	}
@@ -108,7 +108,7 @@ func TestMultiRackRunTrace(t *testing.T) {
 	m := newMultiRack(t, 2, 2)
 	var names []string
 	for i, p := range workload.Table4() {
-		if err := m.Register(p, i%2); err != nil {
+		if err := m.RegisterHome(p, i%2); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, p.Name)

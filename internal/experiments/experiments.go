@@ -54,21 +54,6 @@ type Options struct {
 	// experiments ignore it. The dedicated "hedging" experiment compares
 	// policies explicitly and is unaffected by this knob.
 	Hedge *cluster.HedgePolicy
-	// Shards sets the worker parallelism for sharded-fleet runs
-	// (cmd/trenv-bench -shards, trenvd -shards). It is physical
-	// parallelism only: the logical schedule, and therefore every line
-	// an experiment emits, is invariant of it. 0 means sequential. The
-	// "sharding" experiment executes its reference run at this count
-	// and asserts the result matches the fixed worker-count sweep.
-	Shards int
-}
-
-// workers reports the effective shard worker count (at least 1).
-func (o Options) workers() int {
-	if o.Shards < 1 {
-		return 1
-	}
-	return o.Shards
 }
 
 // chaosInjector compiles o.Chaos against eng, or returns nil when no
@@ -188,7 +173,6 @@ func All() []struct {
 		{"incidents", Incidents},
 		{"prefetch", Prefetch},
 		{"hedging", Hedging},
-		{"sharding", Sharding},
 	}
 }
 

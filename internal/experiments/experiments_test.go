@@ -32,7 +32,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "fig3", "fig4", "fig10",
 		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
 		"fig24", "fig25", "fig26", "ablations", "sensitivity", "availability",
-		"incidents", "prefetch", "hedging", "sharding"}
+		"incidents", "prefetch", "hedging"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -205,26 +205,5 @@ func TestPrefetchExperimentRuns(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("prefetch result missing %q:\n%s", frag, s)
 		}
-	}
-}
-
-func TestSharding(t *testing.T) {
-	r := runAndCheck(t, "sharding")
-	// header + reference row + one row per worker count + sim-time
-	// footer; a divergence line would push the count past 6.
-	if len(r.Lines) != 6 {
-		t.Fatalf("sharding lines = %d, want 6:\n%s", len(r.Lines), r)
-	}
-	for _, l := range r.Lines {
-		if strings.Contains(l, "DIVERGENCE") {
-			t.Fatalf("sharded schedule diverged across worker counts:\n%s", r)
-		}
-	}
-	// The -shards knob moves physical parallelism only: a run at 8
-	// workers must render byte-identically to the sequential run.
-	o := small()
-	o.Shards = 8
-	if got, want := Sharding(o).String(), r.String(); got != want {
-		t.Fatalf("sharding output depends on Options.Shards:\n--- shards=8\n%s--- shards=0\n%s", got, want)
 	}
 }

@@ -395,14 +395,6 @@ func (s *RecorderSet) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// RegisterTraceLog exposes a scheduler trace ring's drop count through
-// the registry, so silent event loss is visible on /metrics.
-func RegisterTraceLog(reg *Registry, labels map[string]string, log *sim.TraceLog) {
-	reg.CounterFunc("trenv_sim_trace_dropped_total",
-		"Scheduler trace events that aged out of the TraceLog ring.",
-		labels, log.Dropped)
-}
-
 // RegisterTracerDrops exposes a span tracer's drop count.
 func RegisterTracerDrops(reg *Registry, labels map[string]string, tr *Tracer) {
 	reg.CounterFunc("trenv_spans_dropped_total",

@@ -238,27 +238,6 @@ func TestRecorderSetGroupsRuns(t *testing.T) {
 	}
 }
 
-func TestRegisterTraceLogExposesDrops(t *testing.T) {
-	eng := sim.NewEngine(1)
-	log := eng.AttachTraceLog(2)
-	reg := NewRegistry()
-	RegisterTraceLog(reg, nil, log)
-	for i := 0; i < 5; i++ {
-		eng.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	eng.Run()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "trenv_sim_trace_dropped_total 3") {
-		t.Fatalf("drop count not exported:\n%s", buf.String())
-	}
-	if log.Dropped() != 3 {
-		t.Fatalf("dropped = %d", log.Dropped())
-	}
-}
-
 func TestSLOBurnRate(t *testing.T) {
 	tr := NewSLOTracker(time.Minute)
 	tr.Set("JS", SLO{Target: 100 * time.Millisecond, Objective: 0.9})

@@ -419,27 +419,6 @@ func FromCluster(source string, scale float64, c *cluster.Cluster, tracer *obs.T
 	return r
 }
 
-// FromShardedFleet bundles a finished sharded-fleet run: fleet metrics
-// (per-rack and aggregate, including the shard coordinator's window and
-// message counters) plus the deterministically merged spans from every
-// rack's tracer. The bundle deliberately carries no worker-count flag:
-// workers are physical parallelism only, and the same seed must produce
-// a byte-identical bundle at any worker count.
-func FromShardedFleet(source string, scale float64, f *cluster.ShardedFleet) *Report {
-	r := New(source, f.Seed(), scale)
-	r.SetFlag("racks", fmt.Sprintf("%d", len(f.Racks())))
-	r.SetFlag("nodes", fmt.Sprintf("%d", len(f.Racks())*len(f.Racks()[0].Nodes())))
-	reg := obs.NewRegistry()
-	f.RegisterMetrics(reg)
-	r.AddMetrics("", reg)
-	if roots := f.Spans(); len(roots) > 0 {
-		r.AddSpans(roots)
-		r.Analyze(roots, 0)
-	}
-	r.Sort()
-	return r
-}
-
 // FromSelfbench converts a wall-clock self-benchmark artifact: the
 // host-dependent aggregate lands in Bench (tolerance-gated, never
 // triaged) and each run's deterministic work counts become metrics

@@ -195,29 +195,3 @@ func TestReportSchemaStable(t *testing.T) {
 		t.Fatalf("summary lines = %d, want header + %d runs + aggregate", len(rep.Summary()), len(rep.Runs))
 	}
 }
-
-// The shard suite's rows differ only in worker count, so their
-// deterministic work totals must be identical — RunShardSuite panics
-// internally if they are not, making this test double as the
-// worker-invariance gate at the selfbench layer.
-func TestShardSuiteRowsAgree(t *testing.T) {
-	rep := RunShardSuite(Options{Seed: 3, Scale: 0.02})
-	if len(rep.Runs) != len(ShardWorkerCounts) {
-		t.Fatalf("runs = %d, want %d", len(rep.Runs), len(ShardWorkerCounts))
-	}
-	for i, r := range rep.Runs {
-		want := fmt.Sprintf("cluster-azure-s%d", ShardWorkerCounts[i])
-		if r.Name != want {
-			t.Fatalf("run %d named %q, want %q", i, r.Name, want)
-		}
-		if r.Events <= 0 || r.Invocations <= 0 {
-			t.Fatalf("run %q did no work: %+v", r.Name, r)
-		}
-		if r.Events != rep.Runs[0].Events || r.Invocations != rep.Runs[0].Invocations {
-			t.Fatalf("run %q counts diverge from %q", r.Name, rep.Runs[0].Name)
-		}
-	}
-	if rep.Aggregate.EventsPerSec <= 0 || rep.Aggregate.InvocationsPerSec <= 0 {
-		t.Fatalf("aggregate not derived: %+v", rep.Aggregate)
-	}
-}

@@ -157,108 +157,6 @@ func RunSuite(o Options) *Report {
 	return rep
 }
 
-// ShardWorkerCounts are the worker counts the sharded suite measures —
-// part of the artifact schema (run names cluster-azure-s<N>).
-var ShardWorkerCounts = []int{1, 2, 4}
-
-// RunShardSuite executes the sharded cluster-azure benchmark: the same
-// 4-rack fleet workload at each worker count in ShardWorkerCounts,
-// reporting events/sec and invocations/sec per count. The deterministic
-// work totals (events, invocations, sim time) must be identical at
-// every worker count — workers are physical parallelism only — and the
-// suite panics if they diverge, so a BENCH_shard.json artifact is also
-// a determinism proof. Wall-clock scaling across the rows is bounded by
-// the host's usable cores (GOMAXPROCS in the header): on a single-core
-// runner the rows measure coordination overhead, not speedup.
-func RunShardSuite(o Options) *Report {
-	o = o.normalize()
-	rep := &Report{
-		Schema:     Schema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       o.Seed,
-		Scale:      o.Scale,
-	}
-	for _, workers := range ShardWorkerCounts {
-		workers := workers
-		name := fmt.Sprintf("cluster-azure-s%d", workers)
-		rep.Runs = append(rep.Runs, Measure(name, o.Seed, func() Counts {
-			return shardedAzure(o, workers)
-		}))
-	}
-	base := rep.Runs[0]
-	for _, r := range rep.Runs[1:] {
-		if r.Events != base.Events || r.Invocations != base.Invocations ||
-			r.Spans != base.Spans || r.SimSeconds != base.SimSeconds {
-			panic(fmt.Sprintf("selfbench: sharded run %s diverged from %s: events %d vs %d, inv %d vs %d",
-				r.Name, base.Name, r.Events, base.Events, r.Invocations, base.Invocations))
-		}
-	}
-	var events, invocations, spans int64
-	var wall, sim, allocs, bytes float64
-	for _, r := range rep.Runs {
-		events += r.Events
-		invocations += r.Invocations
-		spans += r.Spans
-		wall += r.WallSeconds
-		sim += r.SimSeconds
-		allocs += float64(r.Allocs)
-		bytes += float64(r.AllocBytes)
-	}
-	wallDur := time.Duration(wall * float64(time.Second))
-	rep.Aggregate = Aggregate{
-		EventsPerSec:      Rate(float64(events), wallDur),
-		InvocationsPerSec: Rate(float64(invocations), wallDur),
-		SpansPerSec:       Rate(float64(spans), wallDur),
-		AllocsPerEvent:    perUnit(allocs, events),
-		BytesPerEvent:     perUnit(bytes, events),
-	}
-	if sim > 0 {
-		rep.Aggregate.WallMSPerSimSec = wall * 1000 / sim
-	}
-	return rep
-}
-
-// shardedAzure runs the Azure-like industrial trace over a 4-rack
-// sharded fleet (2 nodes per rack) at the given worker parallelism.
-func shardedAzure(o Options, workers int) Counts {
-	cfg := faas.DefaultConfig(faas.PolicyTrEnvCXL)
-	cfg.Seed = o.Seed
-	cfg.KeepAlive = o.dur(10 * time.Minute)
-	f, err := cluster.NewShardedFleet(cluster.ShardedConfig{
-		Racks:        4,
-		NodesPerRack: 2,
-		TraceCap:     1 << 16,
-		Workers:      workers,
-	}, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("selfbench: sharded fleet: %v", err))
-	}
-	for _, p := range workload.Table4() {
-		if err := f.Register(p); err != nil {
-			panic(fmt.Sprintf("selfbench: register %s: %v", p.Name, err))
-		}
-	}
-	az := workload.AzureConfig(fnNames())
-	az.Duration = o.dur(az.Duration)
-	az.MeanPerMin = 120 // denser than the single-rack leg: 8 nodes share the load
-	f.RunTrace(workload.Industrial(rand.New(rand.NewSource(o.Seed+2)), az))
-	var started int64
-	for _, rack := range f.Racks() {
-		for _, n := range rack.Nodes() {
-			started += n.InvocationsStarted()
-		}
-	}
-	return Counts{
-		Events:      f.Events(),
-		Invocations: started,
-		Spans:       int64(len(f.Spans())),
-		SimTime:     f.Group().Now(),
-	}
-}
-
 // overheadPct reports how much slower the obs-on leg ran than the
 // obs-off leg, as a percentage of the obs-off wall time (0 when the
 // baseline collapsed to zero). Negative values mean measurement noise

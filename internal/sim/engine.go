@@ -230,35 +230,22 @@ func (e *Engine) Run() { e.RunUntil(-1) }
 // last event. An event scheduled exactly at the deadline runs; only events
 // strictly after it are left queued.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.run(deadline, false)
+	e.run(deadline)
 	if deadline >= 0 && deadline > e.now {
 		e.now = deadline
 	}
 }
 
-// runWindow executes events with timestamps strictly before horizon and
-// leaves Now at the last executed event. It is the shard coordinator's
-// entry point: a shard may safely run every event below the group's
-// synchronization horizon without seeing messages from its peers, because
-// cross-shard messages always arrive at or beyond the horizon.
-func (e *Engine) runWindow(horizon time.Duration) {
-	e.run(horizon, true)
-}
-
-// run is the scheduler hot loop shared by RunUntil and runWindow. With
-// exclusive set, events at exactly the deadline stay queued.
-func (e *Engine) run(deadline time.Duration, exclusive bool) {
+// run is the scheduler hot loop behind RunUntil.
+func (e *Engine) run(deadline time.Duration) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 && !e.stopped {
-		if deadline >= 0 {
-			at := e.queue.peek().at
-			if at > deadline || (exclusive && at == deadline) {
-				break
-			}
+		if deadline >= 0 && e.queue.peek().at > deadline {
+			break
 		}
 		ev := e.pop()
 		if ev.at < e.now {
@@ -323,22 +310,11 @@ func (e *Engine) unwind() {
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Events returns how many events the engine has executed so far. The
-// counter is an int64 end-to-end (it lives on the hot loop as one integer
-// increment per event, no allocation) so event counts cannot truncate on
-// 32-bit platforms during long sharded runs, and wall-clock
-// self-benchmarks can derive events/sec without touching virtual time or
-// the deterministic event order.
+// counter is an int64 (one integer increment per event on the hot loop,
+// no allocation) so event counts cannot truncate on 32-bit platforms
+// during long runs, and wall-clock self-benchmarks can derive events/sec
+// without touching virtual time or the deterministic event order.
 func (e *Engine) Events() int64 { return e.events }
-
-// nextEventAt returns the timestamp of the earliest pending event, or
-// false if the queue is empty. The shard coordinator uses it to compute
-// the group-wide synchronization horizon.
-func (e *Engine) nextEventAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue.peek().at, true
-}
 
 // Signal is a broadcast condition variable for simulated processes.
 type Signal struct {

@@ -13,8 +13,8 @@
 #      comment (the godoc usage block);
 #   6. every flag cmd/trenv-diff defines appears in README.md's
 #      trenv-diff flag table;
-#   7. ARCHITECTURE.md carries the "Engine internals & sharding"
-#      chapter and the shard-count-invariance determinism paragraph;
+#   7. ARCHITECTURE.md carries the "Engine internals" chapter with its
+#      scheduler-contract section;
 #   8. every committed BENCH_*.json baseline appears in EXPERIMENTS.md's
 #      "Regenerating baselines" section.
 # Exits non-zero listing everything that is missing.
@@ -96,16 +96,12 @@ for f in $gflags; do
     fi
 done
 
-for heading in '## Engine internals & sharding' '### The scheduler contract' '### Shards, horizons, and the exchange'; do
-    if ! grep -q "^$heading" ARCHITECTURE.md; then
+for heading in '## Engine internals' '### The scheduler contract'; do
+    if ! grep -q "^$heading\$" ARCHITECTURE.md; then
         echo "ARCHITECTURE.md missing section: $heading" >&2
         fail=1
     fi
 done
-if ! grep -q 'shard-count' ARCHITECTURE.md; then
-    echo "ARCHITECTURE.md determinism contract missing the shard-count-invariance paragraph" >&2
-    fail=1
-fi
 
 if ! grep -q '^## Regenerating baselines' EXPERIMENTS.md; then
     echo "EXPERIMENTS.md missing section: ## Regenerating baselines" >&2

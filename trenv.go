@@ -140,7 +140,8 @@ func NewAgentPlatform(cfg AgentConfig) (*AgentPlatform, error) {
 // ---------------------------------------------------------------------
 // Rack-level clusters (§8.2).
 
-// Cluster is a rack of container nodes sharing one CXL pool.
+// Cluster is a list of racks of container nodes, each rack sharing one
+// CXL pool; NewCluster builds the one-rack case.
 type Cluster = cluster.Cluster
 
 // NewCluster builds an n-node rack; cfg must use TrEnvCXL.
@@ -148,19 +149,16 @@ func NewCluster(n int, cfg ContainerConfig) (*Cluster, error) {
 	return cluster.New(n, cfg)
 }
 
-// MultiRack blends CXL (intra-rack) and RDMA (inter-rack) across racks
-// (§8.2): each function's image lives once in its home rack's CXL pool
-// and is reachable cluster-wide over the fabric.
-type MultiRack = cluster.MultiRack
-
-// NewMultiRack builds a racks x nodesPerRack cluster; cfg must use
-// TrEnvCXL.
-func NewMultiRack(racks, nodesPerRack int, cfg ContainerConfig) (*MultiRack, error) {
+// NewMultiRack builds a racks x nodesPerRack cluster blending CXL
+// (intra-rack) and RDMA (inter-rack) (§8.2): each function's image lives
+// once in its home rack's CXL pool (Cluster.RegisterHome) and is
+// reachable cluster-wide over the fabric. cfg must use TrEnvCXL.
+func NewMultiRack(racks, nodesPerRack int, cfg ContainerConfig) (*Cluster, error) {
 	return cluster.NewMultiRack(racks, nodesPerRack, cfg)
 }
 
 // HedgePolicy configures request hedging / speculative cloning on a
-// Cluster or MultiRack dispatcher (SetHedgePolicy).
+// Cluster dispatcher (SetHedgePolicy).
 type HedgePolicy = cluster.HedgePolicy
 
 // HedgeMode selects how a hedge policy triggers extra attempts.
@@ -471,12 +469,6 @@ type SLOTracker = obs.SLOTracker
 // SchedulerTraceLog is the engine's bounded scheduler-event ring
 // (Engine.AttachTraceLog).
 type SchedulerTraceLog = sim.TraceLog
-
-// RegisterSchedulerTraceLog publishes a scheduler trace log's drop
-// counter (trenv_sim_trace_dropped_total) into a metrics registry.
-func RegisterSchedulerTraceLog(reg *MetricsRegistry, labels map[string]string, log *SchedulerTraceLog) {
-	obs.RegisterTraceLog(reg, labels, log)
-}
 
 // RegisterTracerDrops publishes a span tracer's drop counter
 // (trenv_spans_dropped_total) into a metrics registry.

@@ -82,8 +82,8 @@ func TestPublicAPITemplates(t *testing.T) {
 
 func TestPublicAPIExperiments(t *testing.T) {
 	ids := trenv.ExperimentIDs()
-	if len(ids) != 23 {
-		t.Fatalf("experiments = %d, want 23", len(ids))
+	if len(ids) != 22 {
+		t.Fatalf("experiments = %d, want 22", len(ids))
 	}
 	r, ok := trenv.RunExperiment("table3", trenv.ExperimentOptions{Seed: 1, Scale: 0.1})
 	if !ok || len(r.Lines) == 0 {
@@ -100,7 +100,7 @@ func TestPublicAPIMultiRack(t *testing.T) {
 		t.Fatal(err)
 	}
 	js, _ := trenv.FunctionByName("JS")
-	if err := m.Register(js, 0); err != nil {
+	if err := m.RegisterHome(js, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Invoke(0, "JS")
