@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -78,5 +79,55 @@ func TestSetBackingLocalCharges(t *testing.T) {
 	// Making an already-local page local again must fail (double charge).
 	if err := as.SetBacking(v, 0, 1, nil, 0, Local); err == nil {
 		t.Fatal("double-populate accepted")
+	}
+}
+
+// A failed SetBacking leaves the VMA, its backings and the node's memory
+// accounting exactly as they were: validation runs before any charge or
+// state change.
+func TestSetBackingAtomicOnError(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(as *AddressSpace, v *VMA) error
+		pool  *mem.Pool
+		first int
+		count int
+		state State
+	}{
+		{
+			name:  "already-local page",
+			setup: func(as *AddressSpace, v *VMA) error { return as.MakeResident(v, 4, 1) },
+			pool:  cxlPool(), first: 0, count: 8, state: RemoteDirect,
+		},
+		{
+			name:  "overlap with state Local",
+			setup: func(as *AddressSpace, v *VMA) error { return as.SetBacking(v, 0, 4, rdmaPool(), 0, RemoteLazy) },
+			pool:  rdmaPool(), first: 2, count: 4, state: Local,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			as, tr := newAS(t, 0)
+			v, _ := as.AddVMA("a", 0, 8, Read|Write, Anon, nil, 0, Unmapped)
+			if err := c.setup(as, v); err != nil {
+				t.Fatal(err)
+			}
+			snapshot := func() string {
+				var states []State
+				for i := 0; i < v.Pages(); i++ {
+					states = append(states, v.PageState(i))
+				}
+				return fmt.Sprintf("states=%v local=%d direct=%d lazy=%d backings=%v rss=%d used=%d",
+					states, v.CountIn(Local), v.CountIn(RemoteDirect), v.CountIn(RemoteLazy),
+					v.Backings(), as.RSS(), tr.Used())
+			}
+			before := snapshot()
+			if err := as.SetBacking(v, c.first, c.count, c.pool, 0, c.state); err == nil {
+				t.Fatal("SetBacking succeeded")
+			}
+			if after := snapshot(); after != before {
+				t.Fatalf("failed SetBacking changed the VMA:\nbefore %s\nafter  %s", before, after)
+			}
+		})
 	}
 }

@@ -1,5 +1,6 @@
-// Package pagetable is a software MMU: virtual memory areas, per-page PTE
-// states, and the fault state machine TrEnv's mm-template relies on.
+// Package pagetable is a software MMU: virtual memory areas, their PTE
+// states kept as run-length extents, and the fault state machine TrEnv's
+// mm-template relies on.
 //
 // A page is in one of four states:
 //
@@ -19,11 +20,20 @@
 // cold pages on RDMA/NAS. This reproduces exactly the event counts and
 // costs the evaluation measures: CXL's zero-software-overhead reads,
 // RDMA's per-page major faults, and CoW isolation for written pages.
+//
+// A VMA stores its pages as a sorted list of runs: maximal stretches of
+// pages sharing state, backing pool, dirty bit and prefetch deadline.
+// Working sets are long contiguous stretches (REAP), so every operation
+// splits runs at its range ends, updates each run in one step and merges
+// equal neighbours: page-table work is O(runs), not O(pages), and
+// attaching a template costs its segment count, not its image size.
 package pagetable
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -99,43 +109,103 @@ type VMA struct {
 	Prot  Prot
 	Kind  MapKind
 
-	segs   []Backing // sorted by First, non-overlapping
-	states []State
-	counts [numStates]int
-
-	// dirty marks pages written since the last MarkClean — the delta an
-	// incremental checkpoint dumps.
-	dirty      []bool
+	segs       []Backing // sorted by First, non-overlapping
+	runs       []run     // sorted, contiguous, cover [0, Pages()), no equal neighbours
+	counts     [numStates]int
 	dirtyCount int
+}
 
-	// inflight holds the virtual-time deadline of the prefetch batch
-	// delivering each page (see MarkInFlight): a demand access before
-	// the deadline waits for the batch instead of fetching.
-	inflight map[int]time.Duration
-	// redirect overrides the backing pool per page for promoted runs
-	// (see PromoteRange): the page reads from the node's direct-access
-	// promotion cache, not its original segment.
-	redirect map[int]*mem.Pool
+// run is a maximal stretch of pages, ending before page end, that share
+// every per-page attribute.
+type run struct {
+	end   int
+	pool  *mem.Pool // the PromoteRange cache, else the segment's pool, else nil
+	state State
+	dirty bool // written since the last MarkClean: an incremental dump's delta
+	// flying marks pages a prefetch batch landing at ready is delivering
+	// (see MarkInFlight); ready is zero when not flying.
+	flying bool
+	ready  time.Duration
+}
+
+// same reports whether r and o differ only in their end page.
+func (r run) same(o run) bool {
+	r.end = o.end
+	return r == o
+}
+
+// initRuns is a new VMA's run capacity: a hot/cold split plus written prefix.
+const initRuns = 8
+
+// find returns the index of the run holding page i (len(runs) past the end).
+func (v *VMA) find(i int) int {
+	return sort.Search(len(v.runs), func(k int) bool { return v.runs[k].end > i })
+}
+
+// startOf returns the first page of run k.
+func (v *VMA) startOf(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return v.runs[k-1].end
+}
+
+// split makes page i begin a run and returns that run's index.
+func (v *VMA) split(i int) int {
+	k := v.find(i)
+	if k < len(v.runs) && v.startOf(k) != i {
+		v.runs = slices.Insert(v.runs, k, v.runs[k])
+		v.runs[k].end = i
+		k++
+	}
+	return k
+}
+
+// update splits runs at first and end, calls fn on each run of [first,
+// end) in page order with the run's first page and page count, then
+// merges equal neighbours.
+func (v *VMA) update(first, end int, fn func(r *run, start, n int)) {
+	lo := v.split(first)
+	hi := v.split(end)
+	start := first
+	for k := lo; k < hi; k++ {
+		fn(&v.runs[k], start, v.runs[k].end-start)
+		start = v.runs[k].end
+	}
+	v.merge(lo, hi)
+}
+
+// merge coalesces equal neighbours among runs [lo-1, hi], the window an
+// update of runs [lo, hi) can disturb.
+func (v *VMA) merge(lo, hi int) {
+	lo, hi = max(lo-1, 0), min(hi+1, len(v.runs))
+	w := lo
+	for k := lo + 1; k < hi; k++ {
+		if v.runs[k].same(v.runs[w]) {
+			v.runs[w].end = v.runs[k].end
+		} else {
+			w++
+			v.runs[w] = v.runs[k]
+		}
+	}
+	v.runs = append(v.runs[:w+1], v.runs[hi:]...)
+}
+
+// setState moves the n pages of r to state s.
+func (v *VMA) setState(r *run, s State, n int) {
+	v.counts[r.state] -= n
+	r.state = s
+	v.counts[s] += n
 }
 
 // DirtyPages returns pages written since the last MarkClean.
 func (v *VMA) DirtyPages() int { return v.dirtyCount }
 
-func (v *VMA) markDirty(i int) {
-	if v.dirty == nil {
-		v.dirty = make([]bool, len(v.states))
-	}
-	if !v.dirty[i] {
-		v.dirty[i] = true
-		v.dirtyCount++
-	}
-}
-
 // Pages returns the VMA's page count.
-func (v *VMA) Pages() int { return len(v.states) }
+func (v *VMA) Pages() int { return v.runs[len(v.runs)-1].end }
 
 // Bytes returns the VMA's size in bytes.
-func (v *VMA) Bytes() int64 { return int64(len(v.states)) * mem.PageSize }
+func (v *VMA) Bytes() int64 { return int64(v.Pages()) * mem.PageSize }
 
 // End returns the first address past the VMA.
 func (v *VMA) End() uint64 { return v.Start + uint64(v.Bytes()) }
@@ -143,43 +213,36 @@ func (v *VMA) End() uint64 { return v.Start + uint64(v.Bytes()) }
 // CountIn reports how many pages are in state s.
 func (v *VMA) CountIn(s State) int { return v.counts[s] }
 
+// CountInRange reports how many of pages [first, first+count) are in state s.
+func (v *VMA) CountInRange(s State, first, count int) int {
+	var n int
+	end := first + count
+	for k := v.find(first); k < len(v.runs) && v.startOf(k) < end; k++ {
+		if v.runs[k].state == s {
+			n += min(v.runs[k].end, end) - max(v.startOf(k), first)
+		}
+	}
+	return n
+}
+
 // PageState returns the state of page index i.
-func (v *VMA) PageState(i int) State { return v.states[i] }
+func (v *VMA) PageState(i int) State { return v.runs[v.find(i)].state }
 
 // Backings returns the VMA's remote backing segments.
 func (v *VMA) Backings() []Backing { return v.segs }
 
 // PoolAt returns the pool backing page i, or nil. A promoted page
 // (PromoteRange) reports the promotion cache it was redirected to.
-func (v *VMA) PoolAt(i int) *mem.Pool {
-	if v.redirect != nil {
-		if p := v.redirect[i]; p != nil {
-			return p
-		}
-	}
-	for _, s := range v.segs {
-		if i >= s.First && i < s.First+s.Pages {
-			return s.Pool
-		}
-	}
-	return nil
-}
+func (v *VMA) PoolAt(i int) *mem.Pool { return v.runs[v.find(i)].pool }
 
-func (v *VMA) setState(i int, s State) {
-	v.counts[v.states[i]]--
-	v.states[i] = s
-	v.counts[s]++
-}
-
-func (v *VMA) addBacking(b Backing) error {
+// checkBacking rejects a backing that overlaps an existing segment.
+func (v *VMA) checkBacking(b Backing) error {
 	for _, s := range v.segs {
 		if b.First < s.First+s.Pages && s.First < b.First+b.Pages {
 			return fmt.Errorf("pagetable: VMA %q: backing [%d,%d) overlaps existing [%d,%d)",
 				v.Name, b.First, b.First+b.Pages, s.First, s.First+s.Pages)
 		}
 	}
-	v.segs = append(v.segs, b)
-	sort.Slice(v.segs, func(i, j int) bool { return v.segs[i].First < v.segs[j].First })
 	return nil
 }
 
@@ -308,22 +371,16 @@ func (as *AddressSpace) AddVMA(name string, start uint64, pages int, prot Prot, 
 			return nil, &ErrOverlap{Name: name, Existing: v.Name}
 		}
 	}
-	v := &VMA{Name: name, Start: start, Prot: prot, Kind: kind, states: make([]State, pages)}
-	v.counts[Unmapped] = pages
+	if initState == Local {
+		if err := as.allocLocal(int64(pages) * mem.PageSize); err != nil {
+			return nil, err
+		}
+	}
+	v := &VMA{Name: name, Start: start, Prot: prot, Kind: kind, runs: make([]run, 1, initRuns)}
+	v.runs[0] = run{end: pages, pool: pool, state: initState}
+	v.counts[initState] = pages
 	if pool != nil {
 		v.segs = []Backing{{First: 0, Pages: pages, Pool: pool, Base: baseOffset}}
-	}
-	if initState != Unmapped {
-		for i := range v.states {
-			v.states[i] = initState
-		}
-		v.counts[Unmapped] = 0
-		v.counts[initState] = pages
-		if initState == Local {
-			if err := as.allocLocal(int64(pages) * mem.PageSize); err != nil {
-				return nil, err
-			}
-		}
 	}
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
@@ -334,10 +391,12 @@ func (as *AddressSpace) AddVMA(name string, start uint64, pages int, prot Prot, 
 // puts them in state s. It is how mm-template preconfigures PTEs:
 // RemoteDirect for byte-addressable pools (valid, write-protected entries)
 // and RemoteLazy otherwise (invalid entries holding the remote address).
-// The range must not already have a backing segment.
+// The range must not already have a backing segment nor a local page.
+// On error nothing changes.
 func (as *AddressSpace) SetBacking(v *VMA, first, count int, pool *mem.Pool, base uint64, s State) error {
-	if first < 0 || count <= 0 || first+count > v.Pages() {
-		return fmt.Errorf("pagetable: SetBacking [%d,%d) outside VMA %q", first, first+count, v.Name)
+	end := first + count
+	if first < 0 || count <= 0 || end > v.Pages() {
+		return fmt.Errorf("pagetable: SetBacking [%d,%d) outside VMA %q", first, end, v.Name)
 	}
 	switch s {
 	case RemoteDirect:
@@ -348,22 +407,33 @@ func (as *AddressSpace) SetBacking(v *VMA, first, count int, pool *mem.Pool, bas
 		if pool == nil {
 			return fmt.Errorf("pagetable: VMA %q: RemoteLazy requires a pool", v.Name)
 		}
-	case Local:
+	}
+	b := Backing{First: first, Pages: count, Pool: pool, Base: base}
+	if pool != nil {
+		if err := v.checkBacking(b); err != nil {
+			return err
+		}
+	}
+	for k := v.find(first); v.startOf(k) < end; k++ {
+		if v.runs[k].state == Local {
+			return fmt.Errorf("pagetable: VMA %q page %d already local", v.Name, max(v.startOf(k), first))
+		}
+	}
+	if s == Local {
 		if err := as.allocLocal(int64(count) * mem.PageSize); err != nil {
 			return err
 		}
 	}
 	if pool != nil {
-		if err := v.addBacking(Backing{First: first, Pages: count, Pool: pool, Base: base}); err != nil {
-			return err
-		}
+		k := sort.Search(len(v.segs), func(i int) bool { return v.segs[i].First > first })
+		v.segs = slices.Insert(v.segs, k, b)
 	}
-	for i := first; i < first+count; i++ {
-		if v.states[i] == Local {
-			return fmt.Errorf("pagetable: VMA %q page %d already local", v.Name, i)
+	v.update(first, end, func(r *run, _, n int) {
+		v.setState(r, s, n)
+		if pool != nil {
+			r.pool = pool
 		}
-		v.setState(i, s)
-	}
+	})
 	return nil
 }
 
@@ -475,27 +545,27 @@ type poolTally struct {
 	overflow map[*mem.Pool]int
 }
 
-func (t *poolTally) add(p *mem.Pool) {
+func (t *poolTally) add(p *mem.Pool, n int) {
 	for i := 0; i < t.len; i++ {
 		if t.pools[i] == p {
-			t.counts[i]++
+			t.counts[i] += n
 			return
 		}
 	}
 	if t.len < len(t.pools) {
 		t.pools[t.len] = p
-		t.counts[t.len] = 1
+		t.counts[t.len] = n
 		t.len++
 		return
 	}
 	if t.overflow == nil {
 		t.overflow = make(map[*mem.Pool]int)
 	}
-	t.overflow[p]++
+	t.overflow[p] += n
 }
 
 // each visits every (pool, count) pair in inline-then-overflow order.
-// Callers that draw randomness per pool must sort first (see pairs).
+// Callers that draw randomness per pool must sort first (see accessVMA).
 func (t *poolTally) each(fn func(p *mem.Pool, n int)) {
 	for i := 0; i < t.len; i++ {
 		fn(t.pools[i], t.counts[i])
@@ -504,9 +574,6 @@ func (t *poolTally) each(fn func(p *mem.Pool, n int)) {
 		fn(p, n)
 	}
 }
-
-// empty reports whether nothing was tallied.
-func (t *poolTally) empty() bool { return t.len == 0 && len(t.overflow) == 0 }
 
 // accessVMA touches pages [first, first+count) of v.
 func (as *AddressSpace) accessVMA(rng *rand.Rand, v *VMA, first, count int, write bool) (AccessResult, error) {
@@ -517,106 +584,56 @@ func (as *AddressSpace) accessVMA(rng *rand.Rand, v *VMA, first, count int, writ
 	if first < 0 || first+count > v.Pages() {
 		return res, fmt.Errorf("pagetable: access [%d,%d) outside VMA %q (%d pages)", first, first+count, v.Name, v.Pages())
 	}
-	if write && v.Prot&Write == 0 {
-		return res, &ErrProt{VMA: v.Name, Write: true}
-	}
-	if !write && v.Prot&Read == 0 {
-		return res, &ErrProt{VMA: v.Name, Write: false}
+	if (write && v.Prot&Write == 0) || (!write && v.Prot&Read == 0) {
+		return res, &ErrProt{VMA: v.Name, Write: write}
 	}
 	var toZero int
+	var inflightReady time.Duration
 	var fetch, cow, direct poolTally // per-pool batches, stack-allocated
-	var cowTotal, fetchTotal int
-	segIdx := 0
-	poolFor := func(i int) *mem.Pool {
-		if v.redirect != nil {
-			if p := v.redirect[i]; p != nil {
-				return p
-			}
-		}
-		for segIdx < len(v.segs) && i >= v.segs[segIdx].First+v.segs[segIdx].Pages {
-			segIdx++
-		}
-		if segIdx < len(v.segs) && i >= v.segs[segIdx].First {
-			return v.segs[segIdx].Pool
-		}
-		return nil
-	}
 	// Working-set recording: the first run's fetches are logged as
 	// contiguous (pool, run) stretches in fault order, the replay unit
 	// of the prefetcher's batched fetches.
 	record := as.wslog != nil && as.wslog.active()
-	var runPool *mem.Pool
-	var runFirst, runLen int
-	flushRun := func() {
-		if runLen > 0 {
-			as.wslog.record(v.Name, runFirst, runLen, runPool.Kind().String())
-			runLen = 0
+	v.update(first, first+count, func(r *run, start, n int) {
+		if write && !r.dirty {
+			r.dirty = true
+			v.dirtyCount += n
 		}
-	}
-	// In-flight prefetch hits: pages whose batch is still on the wire
-	// park the access until the latest such batch lands.
-	var inflightHits int
-	var inflightReady time.Duration
-	for i := first; i < first+count; i++ {
-		if write {
-			v.markDirty(i)
-		}
-		switch v.states[i] {
+		switch r.state {
 		case Local:
-			if v.inflight != nil {
-				if dl, ok := v.inflight[i]; ok {
-					delete(v.inflight, i)
-					inflightHits++
-					if dl > inflightReady {
-						inflightReady = dl
-					}
-				}
+			// In-flight prefetch hits: pages whose batch is still on the
+			// wire park the access until the latest such batch lands.
+			if r.flying {
+				res.PrefetchHits += n
+				inflightReady = max(inflightReady, r.ready)
+				r.flying, r.ready = false, 0
 			}
 		case Unmapped:
-			toZero++
-			v.states[i] = Local
+			toZero += n
+			v.setState(r, Local, n)
 		case RemoteDirect:
-			p := poolFor(i)
 			if write {
-				cow.add(p)
-				cowTotal++
-				v.states[i] = Local
+				cow.add(r.pool, n)
+				v.setState(r, Local, n)
 			} else {
-				direct.add(p)
+				direct.add(r.pool, n)
 			}
 		case RemoteLazy:
-			p := poolFor(i)
-			fetch.add(p)
-			fetchTotal++
+			fetch.add(r.pool, n)
 			if record {
-				if runLen > 0 && p == runPool && i == runFirst+runLen {
-					runLen++
-				} else {
-					flushRun()
-					runPool, runFirst, runLen = p, i, 1
-				}
+				as.wslog.record(v.Name, start, n, r.pool.Kind().String())
 			}
-			v.states[i] = Local
+			v.setState(r, Local, n)
 		}
-	}
-	// Batched counterpart of per-page setState: one counts update per
-	// transition class instead of two per page.
-	v.counts[Unmapped] -= toZero
-	v.counts[RemoteDirect] -= cowTotal
-	v.counts[RemoteLazy] -= fetchTotal
-	v.counts[Local] += toZero + cowTotal + fetchTotal
-	if record {
-		flushRun()
-	}
+	})
 	var lat time.Duration
-	if inflightHits > 0 {
+	if res.PrefetchHits > 0 {
 		// A demand fault on an in-flight page takes a minor fault (the
 		// PTE is being populated by the batch) and waits for the batch
 		// deadline instead of issuing its own fetch; overlapping waits
 		// collapse to the latest deadline.
-		res.PrefetchHits = inflightHits
-		res.MinorFaults += inflightHits
-		lat += time.Duration(inflightHits) * as.lat.MinorFaultOverhead
+		res.MinorFaults += res.PrefetchHits
+		lat += time.Duration(res.PrefetchHits) * as.lat.MinorFaultOverhead
 		if as.clock != nil {
 			if now := as.clock(); inflightReady > now {
 				res.PrefetchWait = inflightReady - now
@@ -646,54 +663,53 @@ func (as *AddressSpace) accessVMA(rng *rand.Rand, v *VMA, first, count int, writ
 	if cowErr != nil {
 		return res, cowErr
 	}
-	if !fetch.empty() {
-		// Iterate fetch pools in a fixed order: fault verdicts and retry
-		// backoff draw from rng per pool, so accumulation order must not
-		// leak into the simulation's random stream.
-		type poolPages struct {
-			pool *mem.Pool
-			n    int
+	// Iterate fetch pools in a fixed order: fault verdicts and retry
+	// backoff draw from rng per pool, so accumulation order must not
+	// leak into the simulation's random stream.
+	type poolPages struct {
+		pool *mem.Pool
+		n    int
+	}
+	var inline [len(fetch.pools)]poolPages // no heap allocation for an inline tally
+	fetchPools := inline[:0]
+	fetch.each(func(p *mem.Pool, n int) { fetchPools = append(fetchPools, poolPages{p, n}) })
+	slices.SortStableFunc(fetchPools, func(a, b poolPages) int {
+		return cmp.Compare(a.pool.Kind().String(), b.pool.Kind().String())
+	})
+	maxFetch := 0
+	for _, fp := range fetchPools {
+		pool, n := fp.pool, fp.n
+		flat := time.Duration(n) * as.lat.FaultOverhead
+		// Contention is sampled from the pool's current outstanding load;
+		// callers that sleep through this latency are expected to hold
+		// BeginFetch/EndFetch on the pool for the sleep's duration so that
+		// concurrent sessions see each other.
+		d, out, err := pool.Fetch(rng, n)
+		res.Retries += out.Retries
+		if res.FaultTrace == "" {
+			res.FaultTrace = out.FaultTrace
 		}
-		fetchPools := make([]poolPages, 0, fetch.len+len(fetch.overflow))
-		fetch.each(func(p *mem.Pool, n int) { fetchPools = append(fetchPools, poolPages{p, n}) })
-		sort.Slice(fetchPools, func(i, j int) bool {
-			return fetchPools[i].pool.Kind().String() < fetchPools[j].pool.Kind().String()
-		})
-		maxFetch := 0
-		for _, fp := range fetchPools {
-			pool, n := fp.pool, fp.n
-			flat := time.Duration(n) * as.lat.FaultOverhead
-			// Contention is sampled from the pool's current outstanding load;
-			// callers that sleep through this latency are expected to hold
-			// BeginFetch/EndFetch on the pool for the sleep's duration so that
-			// concurrent sessions see each other.
-			d, out, err := pool.Fetch(rng, n)
-			res.Retries += out.Retries
-			if res.FaultTrace == "" {
-				res.FaultTrace = out.FaultTrace
+		if err != nil {
+			as.stats.FetchErrors++
+			as.stats.Retries += int64(out.Retries)
+			if as.sink != nil {
+				as.sink.FetchErrors++
+				as.sink.Retries += int64(out.Retries)
 			}
-			if err != nil {
-				as.stats.FetchErrors++
-				as.stats.Retries += int64(out.Retries)
-				if as.sink != nil {
-					as.sink.FetchErrors++
-					as.sink.Retries += int64(out.Retries)
-				}
-				return res, fmt.Errorf("pagetable: fetch %d pages of %q from pool %s: %w", n, v.Name, pool.Kind(), err)
-			}
-			res.MajorFaults += n
-			res.FetchedPages += n
-			flat += d
-			lat += flat
-			res.FetchLat += flat
-			kind := pool.Kind().String()
-			if n > maxFetch || (n == maxFetch && kind < res.FetchPool) {
-				maxFetch = n
-				res.FetchPool = kind
-			}
-			if err := as.allocLocal(int64(n) * mem.PageSize); err != nil {
-				return res, err
-			}
+			return res, fmt.Errorf("pagetable: fetch %d pages of %q from pool %s: %w", n, v.Name, pool.Kind(), err)
+		}
+		res.MajorFaults += n
+		res.FetchedPages += n
+		flat += d
+		lat += flat
+		res.FetchLat += flat
+		kind := pool.Kind().String()
+		if n > maxFetch || (n == maxFetch && kind < res.FetchPool) {
+			maxFetch = n
+			res.FetchPool = kind
+		}
+		if err := as.allocLocal(int64(n) * mem.PageSize); err != nil {
+			return res, err
 		}
 	}
 	direct.each(func(pool *mem.Pool, n int) {
@@ -733,10 +749,8 @@ func (as *AddressSpace) Grow(v *VMA, pages int) error {
 			return &ErrOverlap{Name: v.Name + "+growth", Existing: o.Name}
 		}
 	}
-	v.states = append(v.states, make([]State, pages)...)
-	if v.dirty != nil {
-		v.dirty = append(v.dirty, make([]bool, pages)...)
-	}
+	v.runs = append(v.runs, run{end: v.Pages() + pages})
+	v.merge(len(v.runs)-1, len(v.runs))
 	v.counts[Unmapped] += pages
 	return nil
 }
@@ -754,7 +768,10 @@ func (as *AddressSpace) DirtyBytes() int64 {
 // next incremental checkpoint copies only the new delta.
 func (as *AddressSpace) MarkClean() {
 	for _, v := range as.vmas {
-		v.dirty = nil
+		for k := range v.runs {
+			v.runs[k].dirty = false
+		}
+		v.merge(0, len(v.runs))
 		v.dirtyCount = 0
 	}
 }
@@ -768,18 +785,16 @@ func (as *AddressSpace) MakeResident(v *VMA, first, count int) error {
 		return fmt.Errorf("pagetable: MakeResident [%d,%d) outside VMA %q", first, first+count, v.Name)
 	}
 	var toAlloc int
-	for i := first; i < first+count; i++ {
-		if v.states[i] != Local {
-			toAlloc++
-			v.setState(i, Local)
+	v.update(first, first+count, func(r *run, _, n int) {
+		if r.state != Local {
+			toAlloc += n
+			v.setState(r, Local, n)
 		}
+	})
+	if toAlloc == 0 {
+		return nil
 	}
-	if toAlloc > 0 {
-		if err := as.allocLocal(int64(toAlloc) * mem.PageSize); err != nil {
-			return err
-		}
-	}
-	return nil
+	return as.allocLocal(int64(toAlloc) * mem.PageSize)
 }
 
 // Prefetch forces pages [first, first+count) of v resident, as REAP-style
@@ -787,10 +802,7 @@ func (as *AddressSpace) MakeResident(v *VMA, first, count int) error {
 // unmapped pages are zero-filled. It returns the latency of the batch.
 func (as *AddressSpace) Prefetch(rng *rand.Rand, v *VMA, first, count int) (time.Duration, error) {
 	res, err := as.accessVMA(rng, v, first, count, false)
-	if err != nil {
-		return 0, err
-	}
-	return res.Latency, nil
+	return res.Latency, err // zero on error: Latency is set only on success
 }
 
 // ReleaseAll returns every local page to the tracker and drops all

@@ -87,8 +87,8 @@ func (l *WorkingSetLog) AbortRecording() {
 func (l *WorkingSetLog) active() bool { return l.recording && !l.sealed }
 
 // record appends one fetched run, merging with the previous entry when
-// it extends the same region/pool stretch (the write-prefix and
-// read-suffix halves of one logical access).
+// it extends the same region/pool stretch (neighbouring runs of one
+// access, or the write-prefix and read-suffix halves of one access).
 func (l *WorkingSetLog) record(region string, first, pages int, pool string) {
 	if n := len(l.entries); n > 0 {
 		last := &l.entries[n-1]
@@ -122,27 +122,19 @@ func (as *AddressSpace) MarkInFlight(v *VMA, first, count int, readyAt time.Dura
 	if first < 0 || count <= 0 || first+count > v.Pages() {
 		return 0, fmt.Errorf("pagetable: MarkInFlight [%d,%d) outside VMA %q", first, first+count, v.Name)
 	}
-	var marked int
-	for i := first; i < first+count; i++ {
-		if v.states[i] == RemoteLazy {
-			marked++
-		}
-	}
+	marked := v.CountInRange(RemoteLazy, first, count)
 	if marked == 0 {
 		return 0, nil
 	}
 	if err := as.allocLocal(int64(marked) * mem.PageSize); err != nil {
 		return 0, err
 	}
-	if v.inflight == nil {
-		v.inflight = make(map[int]time.Duration)
-	}
-	for i := first; i < first+count; i++ {
-		if v.states[i] == RemoteLazy {
-			v.inflight[i] = readyAt
-			v.setState(i, Local)
+	v.update(first, first+count, func(r *run, _, n int) {
+		if r.state == RemoteLazy {
+			r.flying, r.ready = true, readyAt
+			v.setState(r, Local, n)
 		}
-	}
+	})
 	as.stats.PrefetchedPages += int64(marked)
 	if as.sink != nil {
 		as.sink.PrefetchedPages += int64(marked)
@@ -163,17 +155,13 @@ func (as *AddressSpace) PromoteRange(v *VMA, first, count int, cache *mem.Pool) 
 	if first < 0 || count <= 0 || first+count > v.Pages() {
 		return 0, fmt.Errorf("pagetable: PromoteRange [%d,%d) outside VMA %q", first, first+count, v.Name)
 	}
-	var n int
-	for i := first; i < first+count; i++ {
-		if v.states[i] != RemoteLazy {
-			continue
+	var promoted int
+	v.update(first, first+count, func(r *run, _, n int) {
+		if r.state == RemoteLazy {
+			r.pool = cache
+			v.setState(r, RemoteDirect, n)
+			promoted += n
 		}
-		if v.redirect == nil {
-			v.redirect = make(map[int]*mem.Pool)
-		}
-		v.redirect[i] = cache
-		v.setState(i, RemoteDirect)
-		n++
-	}
-	return n, nil
+	})
+	return promoted, nil
 }

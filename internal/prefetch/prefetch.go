@@ -164,12 +164,7 @@ func (pf *Prefetcher) OnRestore(p *sim.Proc, log *pagetable.WorkingSetLog, res *
 			if off+n > e.Pages {
 				n = e.Pages - off
 			}
-			lazy := 0
-			for i := e.First + off; i < e.First+off+n; i++ {
-				if v.PageState(i) == pagetable.RemoteLazy {
-					lazy++
-				}
-			}
+			lazy := v.CountInRange(pagetable.RemoteLazy, e.First+off, n)
 			if lazy == 0 {
 				continue // already resident (or promoted); nothing to move
 			}
