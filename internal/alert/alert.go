@@ -131,8 +131,46 @@ type ruleState struct {
 	since    time.Duration // entered current non-inactive state
 	pendAt   time.Duration // entered pending (window start for incidents)
 	fired    int64
-	detail   string
+	found    finding   // last active condition
 	incident *Incident // open incident while firing
+
+	// matched caches the recorder series the rule watches; resolved is
+	// the recorder's series count when it was built (-1: never).
+	matched  []*obs.TimeSeries
+	resolved int
+}
+
+// finding is the measurement that made a rule's condition active. It
+// stays unformatted so evaluating an active rule allocates nothing;
+// String renders it for timelines, incidents and exports.
+type finding struct {
+	rule   *Rule // nil until the condition was first active
+	series string
+	value  float64
+	window time.Duration // rate averaging window, or burn window
+	factor float64       // burn factor
+	never  bool          // absence: no series matched at all
+}
+
+func (f finding) String() string {
+	r := f.rule
+	if r == nil {
+		return ""
+	}
+	switch r.Kind {
+	case KindThreshold:
+		return fmt.Sprintf("%s = %g %s %g", f.series, f.value, r.Op, r.Value)
+	case KindRate:
+		return fmt.Sprintf("%s = %.3g/s over %s %s %g/s", f.series, f.value, f.window, r.Op, r.Value)
+	case KindBurn:
+		return fmt.Sprintf("%s burn %.2fx over %s >= %gx", f.series, f.value, f.window, f.factor)
+	case KindAbsence:
+		if f.never {
+			return fmt.Sprintf("%s never sampled", r.seriesKey())
+		}
+		return fmt.Sprintf("%s silent for > %s", f.series, r.Window)
+	}
+	return ""
 }
 
 // Event is one timeline entry: a rule transitioned at virtual instant T.
@@ -190,7 +228,7 @@ func New(rules []Rule) *Engine {
 			panic(fmt.Sprintf("alert: duplicate rule name %q", r.Name))
 		}
 		seen[r.Name] = true
-		e.states = append(e.states, &ruleState{rule: r, state: StateInactive})
+		e.states = append(e.states, &ruleState{rule: r, state: StateInactive, resolved: -1})
 	}
 	return e
 }
@@ -201,6 +239,9 @@ func New(rules []Rule) *Engine {
 // sampling pump instead of perturbing the event schedule.
 func (e *Engine) Observe(rec *obs.Recorder) {
 	e.rec = rec
+	for _, st := range e.states {
+		st.matched, st.resolved = nil, -1
+	}
 	rec.SetOnSample(e.Eval)
 }
 
@@ -234,112 +275,119 @@ func (e *Engine) Eval(now time.Duration) {
 	e.lastEval, e.evaled = now, true
 	e.evals++
 	for _, st := range e.states {
-		active, detail := e.condition(st.rule, now)
-		e.transition(st, now, active, detail)
+		active, found := e.condition(st, now)
+		e.transition(st, now, active, found)
 	}
 }
 
 // condition evaluates one rule's predicate, returning whether it is
-// active and a human description of the offending measurement.
-func (e *Engine) condition(r Rule, now time.Duration) (bool, string) {
+// active and the offending measurement.
+func (e *Engine) condition(st *ruleState, now time.Duration) (bool, finding) {
+	r := &st.rule
 	switch r.Kind {
 	case KindThreshold:
-		for _, ts := range e.matchSeries(r) {
+		for _, ts := range e.matchSeries(st) {
 			if ts.Len() == 0 {
 				continue // no data is absence, never zero
 			}
 			if v := ts.Last().Value; r.Op.satisfied(v, r.Value) {
-				return true, fmt.Sprintf("%s = %g %s %g", ts.Key, v, r.Op, r.Value)
+				return true, finding{rule: r, series: ts.Key, value: v}
 			}
 		}
-		return false, ""
 	case KindRate:
 		over := r.Over
 		if over <= 0 {
 			over = DefaultRateWindow
 		}
-		for _, ts := range e.matchSeries(r) {
+		for _, ts := range e.matchSeries(st) {
 			v, ok := ts.RateOver(now, over)
 			if !ok {
 				continue // no data is absence, never zero
 			}
 			if r.Op.satisfied(v, r.Value) {
-				return true, fmt.Sprintf("%s = %.3g/s over %s %s %g/s", ts.Key, v, over, r.Op, r.Value)
+				return true, finding{rule: r, series: ts.Key, value: v, window: over}
 			}
 		}
-		return false, ""
 	case KindBurn:
 		for _, slo := range e.slos {
-			for _, fn := range e.burnFunctions(slo, r) {
-				for _, bw := range r.Burn {
-					if b := slo.BurnRate(fn, now, bw.Window); b >= bw.Factor {
-						return true, fmt.Sprintf("%s burn %.2fx over %s >= %gx", fn, b, bw.Window, bw.Factor)
-					}
+			if r.Function != "" && r.Function != "*" {
+				if f, ok := burning(slo, r, r.Function, now); ok {
+					return true, f
+				}
+				continue
+			}
+			for _, fn := range slo.Functions() {
+				if f, ok := burning(slo, r, fn, now); ok {
+					return true, f
 				}
 			}
 		}
-		return false, ""
 	case KindAbsence:
-		matched := e.matchSeries(r)
+		matched := e.matchSeries(st)
 		if len(matched) == 0 {
-			return true, fmt.Sprintf("%s never sampled", r.seriesKey())
+			return true, finding{rule: r, never: true}
 		}
 		for _, ts := range matched {
 			// The ring only retains sampled points, so "no point newer than
 			// now-Window" covers both a stopped series and a window that has
 			// aged entirely out of the buffer.
 			if ts.Len() == 0 || ts.Last().T <= now-r.Window {
-				return true, fmt.Sprintf("%s silent for > %s", ts.Key, r.Window)
+				return true, finding{rule: r, series: ts.Key}
 			}
 		}
-		return false, ""
 	}
-	return false, ""
+	return false, finding{}
 }
 
-// burnFunctions resolves a burn rule's function selector against one
-// tracker (already-sorted tracked names for "*" / "").
-func (e *Engine) burnFunctions(slo *obs.SLOTracker, r Rule) []string {
-	if r.Function == "" || r.Function == "*" {
-		return slo.Functions()
+// burning reports the first of a burn rule's window@factor pairs that
+// fn's burn rate crosses.
+func burning(slo *obs.SLOTracker, r *Rule, fn string, now time.Duration) (finding, bool) {
+	for _, bw := range r.Burn {
+		if b := slo.BurnRate(fn, now, bw.Window); b >= bw.Factor {
+			return finding{rule: r, series: fn, value: b, window: bw.Window, factor: bw.Factor}, true
+		}
 	}
-	return []string{r.Function}
+	return finding{}, false
 }
 
 // matchSeries returns the recorder series a rule watches: same name,
 // and every selector label present with the same value (a subset match).
 // Recorder.Series is sorted by key, so match order is deterministic.
-func (e *Engine) matchSeries(r Rule) []*obs.TimeSeries {
+// Series only join a recorder, so the match is re-resolved only when
+// the recorder's series count changed.
+func (e *Engine) matchSeries(st *ruleState) []*obs.TimeSeries {
 	if e.rec == nil {
 		return nil
 	}
-	var out []*obs.TimeSeries
-	for _, ts := range e.rec.Series() {
-		if ts.Name != r.Series {
-			continue
-		}
-		ok := true
-		for k, v := range r.Labels {
-			if ts.Labels[k] != v {
-				ok = false
-				break
+	if n := e.rec.NumSeries(); n != st.resolved {
+		st.matched, st.resolved = st.matched[:0], n
+		for _, ts := range e.rec.Series() {
+			if ts.Name != st.rule.Series {
+				continue
+			}
+			ok := true
+			for k, v := range st.rule.Labels {
+				if ts.Labels[k] != v {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				st.matched = append(st.matched, ts)
 			}
 		}
-		if ok {
-			out = append(out, ts)
-		}
 	}
-	return out
+	return st.matched
 }
 
-func (e *Engine) transition(st *ruleState, now time.Duration, active bool, detail string) {
+func (e *Engine) transition(st *ruleState, now time.Duration, active bool, found finding) {
 	switch st.state {
 	case StateInactive:
 		if !active {
 			return
 		}
-		st.state, st.since, st.pendAt, st.detail = StatePending, now, now, detail
-		e.addEvent(now, st.rule.Name, "pending", detail)
+		st.state, st.since, st.pendAt, st.found = StatePending, now, now, found
+		e.addEvent(now, st.rule.Name, "pending", found.String())
 		if st.rule.For <= 0 {
 			e.fire(st, now)
 		}
@@ -349,13 +397,13 @@ func (e *Engine) transition(st *ruleState, now time.Duration, active bool, detai
 			e.addEvent(now, st.rule.Name, "cleared", "condition cleared before for="+st.rule.For.String())
 			return
 		}
-		st.detail = detail
+		st.found = found
 		if now-st.pendAt >= st.rule.For {
 			e.fire(st, now)
 		}
 	case StateFiring:
 		if active {
-			st.detail = detail
+			st.found = found
 			return
 		}
 		st.state = StateInactive
@@ -374,7 +422,7 @@ func (e *Engine) fire(st *ruleState, now time.Duration) {
 	inc := e.captureIncident(st, now)
 	st.incident = inc
 	e.incidents = append(e.incidents, inc)
-	e.addEvent(now, st.rule.Name, "firing", st.detail)
+	e.addEvent(now, st.rule.Name, "firing", st.found.String())
 }
 
 func (e *Engine) addEvent(t time.Duration, rule, phase, detail string) {
@@ -416,7 +464,7 @@ func (e *Engine) Snapshot() []RuleStatus {
 			State:  st.state,
 			Since:  st.since,
 			Fired:  st.fired,
-			Detail: st.detail,
+			Detail: st.found.String(),
 		})
 	}
 	return out
@@ -505,7 +553,7 @@ func (e *Engine) export() engineJSON {
 			Spec:   st.rule.Spec(),
 			State:  string(st.state),
 			Fired:  st.fired,
-			Detail: st.detail,
+			Detail: st.found.String(),
 		}
 		if st.state != StateInactive {
 			rj.SinceMS = durMS(st.since)

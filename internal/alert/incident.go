@@ -60,7 +60,7 @@ func (e *Engine) captureIncident(st *ruleState, now time.Duration) *Incident {
 		ID:        obs.TraceIDFor("alert", st.rule.Name, fmt.Sprintf("%d", st.fired)),
 		Rule:      st.rule.Name,
 		Kind:      string(st.rule.Kind),
-		Detail:    st.detail,
+		Detail:    st.found.String(),
 		PendingMS: durMS(st.pendAt),
 		FiringMS:  durMS(now),
 	}
@@ -68,7 +68,7 @@ func (e *Engine) captureIncident(st *ruleState, now time.Duration) *Incident {
 	if from < 0 {
 		from = 0
 	}
-	for _, ts := range e.matchSeries(st.rule) {
+	for _, ts := range e.matchSeries(st) {
 		win := SeriesWindow{Key: ts.Key, Points: []SeriesPoint{}}
 		for _, p := range ts.Points() {
 			if p.T < from || p.T > now {

@@ -124,21 +124,17 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 		fabric := map[string]string{"scope": "fabric"}
 		c.fabric.RegisterMetricsLabeled(reg, fabric)
 		c.fabricStore.Registry().RegisterMetrics(reg, fabric)
-		reg.CounterSetFunc("trenv_rack_invocations_total", "Recorded invocations summed per rack.",
-			func() []obs.LabeledValue {
-				out := make([]obs.LabeledValue, 0, len(c.racks))
-				for ri, rk := range c.racks {
+		for ri, rk := range c.racks {
+			rk := rk
+			reg.CounterFunc("trenv_rack_invocations_total", "Recorded invocations summed per rack.",
+				map[string]string{"rack": c.rackName(ri)}, func() int64 {
 					var n int64
 					for _, node := range rk.nodes {
 						n += int64(node.Metrics().Invocations())
 					}
-					out = append(out, obs.LabeledValue{
-						Labels: map[string]string{"rack": c.rackName(ri)},
-						Value:  float64(n),
-					})
-				}
-				return out
-			})
+					return n
+				})
+		}
 	}
 	registerFleetAggregates(reg, c.nodes, func() float64 { return float64(c.alive()) })
 	if multi {

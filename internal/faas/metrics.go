@@ -25,6 +25,9 @@ type FnMetrics struct {
 type Metrics struct {
 	PerFn map[string]*FnMetrics
 	All   FnMetrics
+	// joined lists PerFn's keys in the order Fn first created them, so
+	// registries compile each function's series once as it joins.
+	joined []string
 
 	WarmHits         sim.Counter
 	ColdStarts       sim.Counter // sandbox built from scratch
@@ -65,6 +68,7 @@ func (m *Metrics) Fn(name string) *FnMetrics {
 	if !ok {
 		fm = &FnMetrics{}
 		m.PerFn[name] = fm
+		m.joined = append(m.joined, name)
 	}
 	return fm
 }
@@ -216,33 +220,30 @@ func (m *Metrics) RegisterLabeled(reg *obs.Registry, labels map[string]string) {
 		{"trenv_exec_latency_ms", "Function execution latency in milliseconds.",
 			func(fm *FnMetrics) *sim.Histogram { return &fm.Exec }, nil},
 	}
-	fnLabels := func(name string) map[string]string {
-		out := map[string]string{"function": name}
-		for k, v := range labels {
-			out[k] = v
-		}
-		return out
-	}
-	reg.HistogramFunc("trenv_prefetch_batch_pages",
+	reg.Histogram("trenv_prefetch_batch_pages",
 		"Pages per prefetch batch (one sample per replaying restore).",
-		func() []obs.LabeledHistogram {
-			return []obs.LabeledHistogram{{Labels: labels, Hist: &m.PrefetchBatchSize}}
-		})
+		labels, &m.PrefetchBatchSize)
+	// Member 0 is the aggregate (function="_all"); member i > 0 is the
+	// i-th function to record an invocation.
 	for _, h := range hists {
 		h := h
-		reg.HistogramFunc(h.name, h.help, func() []obs.LabeledHistogram {
-			lh := func(name string, fm *FnMetrics) obs.LabeledHistogram {
-				out := obs.LabeledHistogram{Labels: fnLabels(name), Hist: h.sel(fm)}
+		reg.HistogramMembers(h.name, h.help, obs.Members{
+			Len: func() int { return 1 + len(m.joined) },
+			Member: func(i int) obs.Member {
+				name, fm := "_all", &m.All
+				if i > 0 {
+					name = m.joined[i-1]
+					fm = m.PerFn[name]
+				}
+				out := obs.Member{Labels: map[string]string{"function": name}, Hist: h.sel(fm)}
+				for k, v := range labels {
+					out.Labels[k] = v
+				}
 				if h.exSel != nil {
-					out.Exemplars = h.exSel(fm)
+					out.Exemplars = func() *obs.ExemplarReservoir { return h.exSel(fm) }
 				}
 				return out
-			}
-			out := []obs.LabeledHistogram{lh("_all", &m.All)}
-			for _, name := range m.Functions() {
-				out = append(out, lh(name, m.PerFn[name]))
-			}
-			return out
+			},
 		})
 	}
 }

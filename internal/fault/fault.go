@@ -335,19 +335,18 @@ func (inj *Injector) Status() Status {
 }
 
 // RegisterMetrics publishes trenv_faults_injected_total{kind=...} into
-// reg, with extra labels merged in.
+// reg, with extra labels merged in. The kinds are fixed when the
+// scenario compiles, so each is one static series.
 func (inj *Injector) RegisterMetrics(reg *obs.Registry, extra map[string]string) {
-	reg.CounterSetFunc("trenv_faults_injected_total", "Injected faults by kind.", func() []obs.LabeledValue {
-		out := make([]obs.LabeledValue, 0, len(inj.kinds))
-		for _, k := range inj.kinds {
-			labels := map[string]string{"kind": k}
-			for lk, lv := range extra {
-				labels[lk] = lv
-			}
-			out = append(out, obs.LabeledValue{Labels: labels, Value: float64(inj.counts[k])})
+	for _, k := range inj.kinds {
+		k := k
+		labels := map[string]string{"kind": k}
+		for lk, lv := range extra {
+			labels[lk] = lv
 		}
-		return out
-	})
+		reg.CounterFunc("trenv_faults_injected_total", "Injected faults by kind.", labels,
+			func() int64 { return inj.counts[k] })
+	}
 }
 
 // String summarizes the scenario for logs.

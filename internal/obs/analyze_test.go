@@ -272,8 +272,12 @@ func TestPrometheusEscapesHostileLabelsAndExemplars(t *testing.T) {
 	h.Add(3)
 	ex := NewExemplarReservoir([]float64{10}, 1, "t")
 	ex.Observe(3, hostile)
-	reg.HistogramFunc("trenv_test_ms", "hostile exemplar", func() []LabeledHistogram {
-		return []LabeledHistogram{{Labels: map[string]string{"fn": hostile}, Hist: &h, Exemplars: ex}}
+	reg.HistogramMembers("trenv_test_ms", "hostile exemplar", Members{
+		Len: func() int { return 1 },
+		Member: func(int) Member {
+			return Member{Labels: map[string]string{"fn": hostile}, Hist: &h,
+				Exemplars: func() *ExemplarReservoir { return ex }}
+		},
 	})
 
 	var buf bytes.Buffer

@@ -116,12 +116,17 @@ func (r *ExemplarReservoir) Snapshot() []BucketExemplars {
 // Pick returns the bucket's representative exemplar for a single
 // OpenMetrics bucket line: the retained exemplar with the largest
 // value (ties: first retained), or ok=false for an empty bucket.
-func (b BucketExemplars) Pick() (Exemplar, bool) {
-	if len(b.Exemplars) == 0 {
+func (b BucketExemplars) Pick() (Exemplar, bool) { return pickExemplar(b.Exemplars) }
+
+// pick is Pick on bucket i's live reservoir, without a snapshot copy.
+func (r *ExemplarReservoir) pick(i int) (Exemplar, bool) { return pickExemplar(r.res[i]) }
+
+func pickExemplar(es []Exemplar) (Exemplar, bool) {
+	if len(es) == 0 {
 		return Exemplar{}, false
 	}
-	best := b.Exemplars[0]
-	for _, e := range b.Exemplars[1:] {
+	best := es[0]
+	for _, e := range es[1:] {
 		if e.Value > best.Value {
 			best = e
 		}

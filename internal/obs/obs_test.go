@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -202,17 +203,15 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestRegistryHistogramFuncGathersDynamicSeries(t *testing.T) {
+func TestRegistryHistogramMembersJoinDuringRun(t *testing.T) {
 	reg := NewRegistry()
 	hists := map[string]*sim.Histogram{}
-	reg.HistogramFunc("trenv_dyn_ms", "Dynamic.", func() []LabeledHistogram {
-		var out []LabeledHistogram
-		for _, fn := range []string{"b", "a"} {
-			if h, ok := hists[fn]; ok {
-				out = append(out, LabeledHistogram{Labels: map[string]string{"function": fn}, Hist: h})
-			}
-		}
-		return out
+	var joined []string // "b" joins before "a"; exports still sort
+	reg.HistogramMembers("trenv_dyn_ms", "Dynamic.", Members{
+		Len: func() int { return len(joined) },
+		Member: func(i int) Member {
+			return Member{Labels: map[string]string{"function": joined[i]}, Hist: hists[joined[i]]}
+		},
 	})
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -221,10 +220,11 @@ func TestRegistryHistogramFuncGathersDynamicSeries(t *testing.T) {
 	if strings.Count(buf.String(), "trenv_dyn_ms{") != 0 {
 		t.Fatalf("expected no series before histograms exist:\n%s", buf.String())
 	}
-	for _, fn := range []string{"a", "b"} {
+	for _, fn := range []string{"b", "a"} {
 		h := &sim.Histogram{}
 		h.Add(7)
 		hists[fn] = h
+		joined = append(joined, fn)
 	}
 	buf.Reset()
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -263,6 +263,75 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	reg.GaugeFunc("m_total", "m", nil, func() float64 { return 0 })
+}
+
+// mustPanic fails t unless fn panics with a message containing want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("expected a panic containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}()
+	fn()
+}
+
+func TestRegistryRejectsBadLabelNamesAtRegistration(t *testing.T) {
+	zero := func() int64 { return 0 }
+	for _, name := range []string{"a:b", "0lead", "", "dash-ed", "sp ace"} {
+		reg := NewRegistry()
+		mustPanic(t, "label name", func() {
+			reg.CounterFunc("m_total", "m", map[string]string{name: "v"}, zero)
+		})
+	}
+	// Dynamic members are checked when they join, before any export.
+	reg := NewRegistry()
+	n := 0
+	reg.GaugeMembers("g", "g", Members{
+		Len: func() int { return n },
+		Member: func(int) Member {
+			return Member{Labels: map[string]string{"a:b": "v"}, Value: func() float64 { return 0 }}
+		},
+	})
+	n = 1
+	mustPanic(t, "label name", func() { reg.Gather() })
+	// The label grammar still takes every name the repo uses.
+	NewRegistry().CounterFunc("m_total", "m", map[string]string{"_x": "1", "node": "n0", "go_version": "1"}, zero)
+}
+
+func TestRegistryRejectsDuplicateSeries(t *testing.T) {
+	zero := func() int64 { return 0 }
+	reg := NewRegistry()
+	reg.CounterFunc("m_total", "m", map[string]string{"node": "n0"}, zero)
+	reg.CounterFunc("m_total", "m", map[string]string{"node": "n1"}, zero)
+	mustPanic(t, `duplicate series m_total{node="n0"}`, func() {
+		reg.CounterFunc("m_total", "m", map[string]string{"node": "n0"}, zero)
+	})
+	// A summary's samples collide with a counter spelled like them.
+	var h sim.Histogram
+	reg.CounterFunc("lat_count", "c", nil, zero)
+	mustPanic(t, "duplicate series lat_count", func() { reg.Histogram("lat", "l", nil, &h) })
+	// Nothing of a rejected series was filed.
+	if n := len(reg.Gather()); n != 3 {
+		t.Fatalf("gathered %d samples after rejections, want 3", n)
+	}
+}
+
+func TestPrometheusEscapesHelpText(t *testing.T) {
+	reg := NewRegistry()
+	reg.CounterFunc("m_total", "first line\nC:\\path \"quoted\"", nil, func() int64 { return 1 })
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP m_total first line\\nC:\\\\path \"quoted\"\n# TYPE m_total counter\nm_total 1\n"
+	if buf.String() != want {
+		t.Fatalf("help not escaped:\n got %q\nwant %q", buf.String(), want)
+	}
 }
 
 func TestRegistryBadNamePanics(t *testing.T) {

@@ -34,6 +34,11 @@ type Point struct {
 	Rate  float64
 }
 
+// ringBlock is how many points a ring allocates at a time. Rings grow
+// block by block up to their capacity, so filling one allocates each
+// point once and never copies it.
+const ringBlock = 256
+
 // TimeSeries is a fixed-capacity ring of points for one registry
 // series.
 type TimeSeries struct {
@@ -43,8 +48,9 @@ type TimeSeries struct {
 	Counter bool
 
 	cap     int
-	points  []Point
-	head    int // oldest retained point once full
+	blocks  [][]Point // ring storage, ringBlock points per block
+	n       int       // retained points
+	head    int       // oldest retained point once full
 	dropped int64
 
 	lastT time.Duration
@@ -52,47 +58,54 @@ type TimeSeries struct {
 	seen  bool
 }
 
+// slot returns ring position j.
+func (ts *TimeSeries) slot(j int) *Point { return &ts.blocks[j/ringBlock][j%ringBlock] }
+
 func (ts *TimeSeries) push(p Point) {
-	if len(ts.points) < ts.cap {
-		ts.points = append(ts.points, p)
+	if ts.n < ts.cap {
+		if ts.n%ringBlock == 0 {
+			ts.blocks = append(ts.blocks, make([]Point, min(ringBlock, ts.cap-ts.n)))
+		}
+		*ts.slot(ts.n) = p
+		ts.n++
 		return
 	}
-	ts.points[ts.head] = p
-	ts.head = (ts.head + 1) % ts.cap
+	*ts.slot(ts.head) = p
+	if ts.head++; ts.head == ts.cap {
+		ts.head = 0
+	}
 	ts.dropped++
 }
 
 // Points returns the retained points, oldest first.
 func (ts *TimeSeries) Points() []Point {
-	out := make([]Point, 0, len(ts.points))
-	out = append(out, ts.points[ts.head:]...)
-	out = append(out, ts.points[:ts.head]...)
+	out := make([]Point, ts.n)
+	for i := range out {
+		out[i] = ts.at(i)
+	}
 	return out
 }
 
 // Len returns how many points are retained.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
+func (ts *TimeSeries) Len() int { return ts.n }
 
 // Dropped returns how many points aged out of the ring.
 func (ts *TimeSeries) Dropped() int64 { return ts.dropped }
 
 // Last returns the most recent point (zero Point when empty).
 func (ts *TimeSeries) Last() Point {
-	if len(ts.points) == 0 {
+	if ts.n == 0 {
 		return Point{}
 	}
-	if len(ts.points) < ts.cap {
-		return ts.points[len(ts.points)-1]
-	}
-	return ts.points[(ts.head+ts.cap-1)%ts.cap]
+	return ts.at(ts.n - 1)
 }
 
 // at returns the i-th retained point, oldest first.
 func (ts *TimeSeries) at(i int) Point {
-	if len(ts.points) < ts.cap {
-		return ts.points[i]
+	if i += ts.head; i >= ts.cap {
+		i -= ts.cap
 	}
-	return ts.points[(ts.head+i)%ts.cap]
+	return *ts.slot(i)
 }
 
 // RateOver returns the average per-second rate of change between the
@@ -102,18 +115,17 @@ func (ts *TimeSeries) at(i int) Point {
 // no data yields no rate, never zero. Alert rate rules use this instead
 // of the instantaneous per-sample Rate, which is too spiky to threshold.
 func (ts *TimeSeries) RateOver(now, window time.Duration) (rate float64, ok bool) {
-	n := len(ts.points)
+	n := ts.n
 	if n < 2 {
 		return 0, false
 	}
 	last := ts.at(n - 1)
 	cut := now - window
+	// Points are in ascending time order (Sample only pushes advancing
+	// instants), so the baseline is found by binary search.
 	baseline := ts.at(0)
-	for i := n - 2; i >= 0; i-- {
-		if p := ts.at(i); p.T <= cut {
-			baseline = p
-			break
-		}
+	if k := sort.Search(n-1, func(i int) bool { return ts.at(i).T > cut }); k > 0 {
+		baseline = ts.at(k - 1)
 	}
 	if baseline.T >= last.T {
 		return 0, false
@@ -126,8 +138,8 @@ func (ts *TimeSeries) RateOver(now, window time.Duration) (rate float64, ok bool
 type Recorder struct {
 	reg     *Registry
 	cap     int
-	series  map[string]*TimeSeries
-	order   []string // sorted keys
+	byID    []*TimeSeries // indexed by registry slot id
+	order   []*TimeSeries // sorted by key
 	samples int64
 
 	// onSample, when set, runs after every Sample with the sampled
@@ -143,32 +155,44 @@ func NewRecorder(reg *Registry, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	return &Recorder{reg: reg, cap: capacity, series: make(map[string]*TimeSeries)}
+	return &Recorder{reg: reg, cap: capacity}
 }
 
-// Sample gathers the registry once at virtual time now. Re-sampling the
-// same instant is a no-op per series, so overlapping pumps cannot
-// duplicate points.
+// Sample reads every registry series once at virtual time now.
+// Re-sampling the same instant is a no-op per series, so overlapping
+// pumps cannot duplicate points.
 func (r *Recorder) Sample(now time.Duration) {
-	for _, s := range r.reg.Gather() {
-		ts, ok := r.series[s.Key]
-		if !ok {
-			ts = &TimeSeries{Name: s.Name, Labels: s.Labels, Key: s.Key, Counter: s.Counter, cap: r.cap}
-			r.series[s.Key] = ts
-			i := sort.SearchStrings(r.order, s.Key)
-			r.order = append(r.order, "")
-			copy(r.order[i+1:], r.order[i:])
-			r.order[i] = s.Key
+	r.reg.refresh()
+	slots := r.reg.slots
+	if len(r.byID) < len(slots) {
+		r.byID = append(r.byID, make([]*TimeSeries, len(slots)-len(r.byID))...)
+	}
+	grew := false
+	for _, sl := range slots {
+		ts := r.byID[sl.id]
+		if ts == nil {
+			ts = &TimeSeries{Name: sl.name, Labels: sl.s.labels, Key: sl.key, Counter: sl.counter, cap: r.cap}
+			r.byID[sl.id] = ts
+			grew = true
 		}
 		if ts.seen && now <= ts.lastT {
 			continue
 		}
+		v := sl.read()
 		var rate float64
-		if s.Counter && ts.seen {
-			rate = safeRate(s.Value-ts.lastV, now-ts.lastT)
+		if ts.Counter && ts.seen {
+			rate = safeRate(v-ts.lastV, now-ts.lastT)
 		}
-		ts.push(Point{T: now, Value: s.Value, Rate: rate})
-		ts.lastT, ts.lastV, ts.seen = now, s.Value, true
+		ts.push(Point{T: now, Value: v, Rate: rate})
+		ts.lastT, ts.lastV, ts.seen = now, v, true
+	}
+	if grew {
+		// Every slot is sampled, so the recorder's key order is the
+		// registry's.
+		r.order = r.order[:0]
+		for _, sl := range slots {
+			r.order = append(r.order, r.byID[sl.id])
+		}
 	}
 	r.samples++
 	if r.onSample != nil {
@@ -201,17 +225,22 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 
 // Series returns every recorded series sorted by key.
 func (r *Recorder) Series() []*TimeSeries {
-	out := make([]*TimeSeries, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.series[k])
-	}
-	return out
+	return append([]*TimeSeries(nil), r.order...)
 }
+
+// NumSeries returns how many series the recorder holds. It only grows,
+// so a consumer can cache matches against Series until it changes.
+func (r *Recorder) NumSeries() int { return len(r.order) }
 
 // Lookup returns the series for name with exactly the given labels, or
 // nil if never sampled.
 func (r *Recorder) Lookup(name string, labels map[string]string) *TimeSeries {
-	return r.series[name+renderLabels(labels, "")]
+	key := name + renderLabels(labels, "")
+	i := sort.Search(len(r.order), func(j int) bool { return r.order[j].Key >= key })
+	if i < len(r.order) && r.order[i].Key == key {
+		return r.order[i]
+	}
+	return nil
 }
 
 // PumpWhile samples every interval of virtual time on eng, starting
@@ -258,7 +287,7 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 
 func (r *Recorder) export() recorderJSON {
 	doc := recorderJSON{Samples: r.samples, Series: make([]seriesJSON, 0, len(r.order))}
-	for _, ts := range r.Series() {
+	for _, ts := range r.order {
 		sj := seriesJSON{Name: ts.Name, Labels: ts.Labels, Counter: ts.Counter, Dropped: ts.dropped}
 		for _, p := range ts.Points() {
 			sj.Points = append(sj.Points, pointJSON{TMS: durMS(p.T), Value: p.Value, Rate: p.Rate})
@@ -283,7 +312,7 @@ var csvHeader = []string{"series", "labels", "t_ms", "value", "rate_per_s"}
 
 func writeSeriesCSV(cw *csv.Writer, prefix []string, series []*TimeSeries) error {
 	for _, ts := range series {
-		labels := renderLabels(ts.Labels, "")
+		labels := ts.Key[len(ts.Name):]
 		for _, p := range ts.Points() {
 			row := append(append([]string(nil), prefix...),
 				ts.Name,
@@ -306,7 +335,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	if err := writeSeriesCSV(cw, nil, r.Series()); err != nil {
+	if err := writeSeriesCSV(cw, nil, r.order); err != nil {
 		return err
 	}
 	cw.Flush()
@@ -387,7 +416,7 @@ func (s *RecorderSet) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, rr := range s.runs {
-		if err := writeSeriesCSV(cw, []string{rr.Run}, rr.Rec.Series()); err != nil {
+		if err := writeSeriesCSV(cw, []string{rr.Run}, rr.Rec.order); err != nil {
 			return err
 		}
 	}

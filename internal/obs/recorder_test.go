@@ -50,12 +50,17 @@ func TestGatherSortedAndTyped(t *testing.T) {
 
 func TestRegistryDynamicValueSets(t *testing.T) {
 	reg := NewRegistry()
-	vals := []LabeledValue{}
-	reg.CounterSetFunc("dyn_total", "d", func() []LabeledValue { return vals })
+	var fns []string
+	reg.CounterMembers("dyn_total", "d", Members{
+		Len: func() int { return len(fns) },
+		Member: func(i int) Member {
+			return Member{Labels: map[string]string{"fn": fns[i]}, Value: func() float64 { return 3 }}
+		},
+	})
 	if got := len(reg.Gather()); got != 0 {
 		t.Fatalf("empty set gathered %d samples", got)
 	}
-	vals = append(vals, LabeledValue{Labels: map[string]string{"fn": "JS"}, Value: 3})
+	fns = append(fns, "JS")
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -37,6 +37,7 @@ type sloEvent struct {
 }
 
 type sloSeries struct {
+	fn       string
 	slo      SLO
 	events   []sloEvent // ring, oldest at head once full
 	head     int
@@ -83,7 +84,8 @@ type SLOTracker struct {
 	cap     int
 	windows []time.Duration
 	byFn    map[string]*sloSeries
-	names   []string // sorted function names
+	names   []string     // sorted function names
+	joined  []*sloSeries // in the order functions were first tracked
 }
 
 // NewSLOTracker tracks burn rate over the given sliding windows
@@ -118,8 +120,9 @@ func (t *SLOTracker) Set(fn string, slo SLO) {
 func (t *SLOTracker) seriesFor(fn string, slo SLO) *sloSeries {
 	s, ok := t.byFn[fn]
 	if !ok {
-		s = &sloSeries{slo: slo}
+		s = &sloSeries{fn: fn, slo: slo}
 		t.byFn[fn] = s
+		t.joined = append(t.joined, s)
 		i := sort.SearchStrings(t.names, fn)
 		t.names = append(t.names, "")
 		copy(t.names[i+1:], t.names[i:])
@@ -142,10 +145,9 @@ func (t *SLOTracker) Record(fn string, at, latency time.Duration) {
 	s.record(sloEvent{t: at, bad: latency > s.slo.Target}, t.cap)
 }
 
-// Functions returns every tracked function, sorted.
-func (t *SLOTracker) Functions() []string {
-	return append([]string(nil), t.names...)
-}
+// Functions returns every tracked function, sorted. The slice is the
+// tracker's own: read it, do not modify or retain it across Record.
+func (t *SLOTracker) Functions() []string { return t.names }
 
 // Total returns how many invocations of fn were recorded.
 func (t *SLOTracker) Total(fn string) int64 {
@@ -173,6 +175,10 @@ func (t *SLOTracker) BurnRate(fn string, now, window time.Duration) float64 {
 	if !ok {
 		return 0
 	}
+	return s.burnRate(now, window)
+}
+
+func (s *sloSeries) burnRate(now, window time.Duration) float64 {
 	total, bad := s.window(now, window)
 	if total == 0 {
 		return 0
@@ -220,55 +226,38 @@ func mergeLabels(base, extra map[string]string) map[string]string {
 // window, all merged with base labels (e.g. node="n3"). now supplies
 // the virtual instant burn rates are evaluated at.
 func (t *SLOTracker) Register(reg *Registry, base map[string]string, now func() time.Duration) {
-	reg.CounterSetFunc("trenv_slo_events_total",
-		"Invocations observed by the SLO tracker.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  float64(t.byFn[fn].total),
-				})
-			}
-			return out
-		})
-	reg.CounterSetFunc("trenv_slo_breaches_total",
-		"Invocations that missed their latency target.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  float64(t.byFn[fn].breaches),
-				})
-			}
-			return out
-		})
-	reg.GaugeSetFunc("trenv_slo_target_ms",
-		"Configured per-function latency target.",
-		func() []LabeledValue {
-			out := make([]LabeledValue, 0, len(t.names))
-			for _, fn := range t.names {
-				out = append(out, LabeledValue{
-					Labels: mergeLabels(base, map[string]string{"function": fn}),
-					Value:  durMS(t.byFn[fn].slo.Target),
-				})
-			}
-			return out
-		})
-	reg.GaugeSetFunc("trenv_slo_burn_rate",
-		"Error-budget burn rate over a sliding virtual-time window (1 = at budget).",
-		func() []LabeledValue {
-			at := now()
-			out := make([]LabeledValue, 0, len(t.names)*len(t.windows))
-			for _, fn := range t.names {
-				for _, w := range t.windows {
-					out = append(out, LabeledValue{
-						Labels: mergeLabels(base, map[string]string{"function": fn, "window": w.String()}),
-						Value:  t.BurnRate(fn, at, w),
-					})
+	perFn := func(read func(s *sloSeries) float64) Members {
+		return Members{
+			Len: func() int { return len(t.joined) },
+			Member: func(i int) Member {
+				s := t.joined[i]
+				return Member{
+					Labels: mergeLabels(base, map[string]string{"function": s.fn}),
+					Value:  func() float64 { return read(s) },
 				}
-			}
-			return out
+			},
+		}
+	}
+	reg.CounterMembers("trenv_slo_events_total",
+		"Invocations observed by the SLO tracker.",
+		perFn(func(s *sloSeries) float64 { return float64(s.total) }))
+	reg.CounterMembers("trenv_slo_breaches_total",
+		"Invocations that missed their latency target.",
+		perFn(func(s *sloSeries) float64 { return float64(s.breaches) }))
+	reg.GaugeMembers("trenv_slo_target_ms",
+		"Configured per-function latency target.",
+		perFn(func(s *sloSeries) float64 { return durMS(s.slo.Target) }))
+	// One member per (function, window), function-major.
+	reg.GaugeMembers("trenv_slo_burn_rate",
+		"Error-budget burn rate over a sliding virtual-time window (1 = at budget).",
+		Members{
+			Len: func() int { return len(t.joined) * len(t.windows) },
+			Member: func(i int) Member {
+				s, w := t.joined[i/len(t.windows)], t.windows[i%len(t.windows)]
+				return Member{
+					Labels: mergeLabels(base, map[string]string{"function": s.fn, "window": w.String()}),
+					Value:  func() float64 { return s.burnRate(now(), w) },
+				}
+			},
 		})
 }

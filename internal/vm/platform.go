@@ -56,6 +56,7 @@ type Platform struct {
 	node   *mem.Tracker
 	gauge  sim.Gauge
 	perFn  map[string]*AgentMetrics
+	agents []string // perFn's keys in the order Metrics created them
 	llm    *LLMServer
 	active int
 
@@ -106,6 +107,7 @@ func (pl *Platform) Metrics(name string) *AgentMetrics {
 	if !ok {
 		m = &AgentMetrics{}
 		pl.perFn[name] = m
+		pl.agents = append(pl.agents, name)
 	}
 	return m
 }
@@ -399,15 +401,12 @@ func (pl *Platform) RegisterMetrics(reg *obs.Registry) {
 	}
 	for _, h := range hists {
 		h := h
-		reg.HistogramFunc(h.name, h.help, func() []obs.LabeledHistogram {
-			var out []obs.LabeledHistogram
-			for _, name := range pl.AgentNames() {
-				out = append(out, obs.LabeledHistogram{
-					Labels: map[string]string{"agent": name},
-					Hist:   h.sel(pl.perFn[name]),
-				})
-			}
-			return out
+		reg.HistogramMembers(h.name, h.help, obs.Members{
+			Len: func() int { return len(pl.agents) },
+			Member: func(i int) obs.Member {
+				name := pl.agents[i]
+				return obs.Member{Labels: map[string]string{"agent": name}, Hist: h.sel(pl.perFn[name])}
+			},
 		})
 	}
 	reg.CounterFunc("trenv_agent_runs_total", "Completed agent runs.", nil, pl.runs.Value)
