@@ -5,25 +5,71 @@
 //
 // Scale: benchmarks default to 0.35x the paper's 30-minute workloads so
 // the full suite stays in CI budgets; set TRENV_BENCH_SCALE=1 for
-// paper-scale runs.
+// paper-scale runs. A malformed or non-positive value fails the
+// benchmark instead of falling back to the default.
 package trenv_test
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-func benchOptions() experiments.Options {
-	scale := 0.35
-	if s := os.Getenv("TRENV_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			scale = v
-		}
+// defaultBenchScale is the workload scale when TRENV_BENCH_SCALE is
+// unset.
+const defaultBenchScale = 0.35
+
+// parseBenchScale reads a TRENV_BENCH_SCALE value: empty means the
+// default, anything else must be a positive number.
+func parseBenchScale(s string) (float64, error) {
+	if s == "" {
+		return defaultBenchScale, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("TRENV_BENCH_SCALE=%q: want a positive number", s)
+	}
+	return v, nil
+}
+
+func benchOptions(b *testing.B) experiments.Options {
+	scale, err := parseBenchScale(os.Getenv("TRENV_BENCH_SCALE"))
+	if err != nil {
+		b.Fatal(err)
 	}
 	return experiments.Options{Seed: 1, Scale: scale}
+}
+
+func TestParseBenchScale(t *testing.T) {
+	cases := []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"", defaultBenchScale, true},
+		{"0.1", 0.1, true},
+		{"1", 1, true},
+		{"0", 0, false},
+		{"-1", 0, false},
+		{"0,1", 0, false},
+		{"abc", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+	}
+	for _, c := range cases {
+		got, err := parseBenchScale(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("parseBenchScale(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), strconv.Quote(c.in)) {
+			t.Errorf("parseBenchScale(%q) error %q does not name the value", c.in, err)
+		}
+	}
 }
 
 // runExperiment is the shared benchmark body.
@@ -33,7 +79,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	o := benchOptions()
+	o := benchOptions(b)
 	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
 		r = run(o)

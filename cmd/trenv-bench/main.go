@@ -8,7 +8,6 @@
 //	            [-analyze report.json] [-flame out.folded]
 //	            [-report bundle.json] [-report-lean]
 //	            [-chaos spec] [-prefetch] [-alerts out.json] [-rules spec]
-//	trenv-bench -selfbench report.json [-seed N] [-scale F]
 //	trenv-bench -version
 //
 // -json prints the results as a JSON array instead of paper-style text;
@@ -29,8 +28,7 @@
 // analytics, and the flattened virtual-time-ordered span list. Bundles
 // are what cmd/trenv-diff compares; same-seed runs write byte-identical
 // bundles. -report-lean shrinks the bundle to committed-baseline size
-// (spans and sampled series omitted); combined with -selfbench,
-// -report converts the wall-clock artifact into a bundle instead.
+// (spans and sampled series omitted).
 //
 // -alerts attaches the alert engine to every run (one engine per run,
 // evaluated on the virtual clock at each flight-recorder sample) and
@@ -39,14 +37,6 @@
 // or @file (grammar in internal/alert). Alerts also embed in -report
 // bundles, where cmd/trenv-diff compares them against a baseline.
 // Same-seed runs write byte-identical alert JSON.
-//
-// -selfbench switches to the wall-clock self-benchmark: instead of
-// paper figures it measures the simulator itself (events/sec,
-// invocations/sec, spans/sec, allocations per event, observability
-// overhead) and writes the schema-stable report JSON that
-// scripts/bench-compare.sh regression-gates against the committed
-// BENCH_pr6.json baseline. Wall-clock readings are host-dependent;
-// the work counts inside the report are deterministic per seed/scale.
 package main
 
 import (
@@ -62,42 +52,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/report"
-	"repro/internal/selfbench"
 )
-
-// runSelfBench executes the wall-clock suite and writes the
-// schema-stable report, echoing a human summary to stdout. When
-// reportPath is set, the artifact is additionally converted into a
-// trenv-report/v1 bundle and written there.
-func runSelfBench(path, reportPath string, seed int64, scale float64) error {
-	rep := selfbench.RunSuite(selfbench.Options{Seed: seed, Scale: scale})
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	if path != "-" {
-		for _, line := range rep.Summary() {
-			fmt.Println(line)
-		}
-		fmt.Fprintf(os.Stderr, "trenv-bench: wrote self-benchmark report to %s\n", path)
-	}
-	if reportPath != "" {
-		if err := report.FromSelfbench(rep).WriteFile(reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trenv-bench: wrote run bundle to %s\n", reportPath)
-	}
-	return nil
-}
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment IDs (table1..fig26) or 'all'")
@@ -115,7 +70,6 @@ func main() {
 	rulesSpec := flag.String("rules", "", "with -alerts or -report: alerting rules as a compact spec or @file (empty = built-in default set)")
 	prefetch := flag.Bool("prefetch", false, "enable working-set prefetching on every TrEnv platform the experiments build")
 	hedgeSpec := flag.String("hedge", "", "request-hedging policy armed on every cluster the experiments build, e.g. 'delay:50ms', 'p95', 'clone:2' (see README for the grammar)")
-	selfbenchPath := flag.String("selfbench", "", "run the wall-clock self-benchmark suite instead of experiments and write the report JSON to this file ('-' for stdout)")
 	reportPath := flag.String("report", "", "write the schema-stable trenv-report/v1 run bundle (figures, metrics, series, spans, analysis) to this file")
 	reportLean := flag.Bool("report-lean", false, "with -report: omit spans and sampled series, producing a committed-baseline-sized bundle")
 	version := flag.Bool("version", false, "print version and exit")
@@ -123,13 +77,6 @@ func main() {
 
 	if *version {
 		fmt.Printf("trenv-bench %s %s %s/%s\n", trenv.Version(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
-		return
-	}
-	if *selfbenchPath != "" {
-		if err := runSelfBench(*selfbenchPath, *reportPath, *seed, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "trenv-bench: selfbench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

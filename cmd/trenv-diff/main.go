@@ -1,29 +1,26 @@
-// Command trenv-diff compares two run artifacts and attributes the
-// delta: per-metric deltas inside tolerance bands, per-function
-// per-phase latency-attribution deltas, critical-path structural diffs,
-// time-series divergence, figure-row diffs, selfbench regression gates,
-// and — for same-seed span-carrying pairs — determinism triage that
-// names the first divergent span (trace ID, virtual time, phase, node)
-// instead of "bytes differ".
+// Command trenv-diff compares two run bundles and attributes the delta:
+// per-metric deltas inside tolerance bands, per-function per-phase
+// latency-attribution deltas, critical-path structural diffs,
+// time-series divergence, figure-row diffs, and — for same-seed
+// span-carrying pairs — determinism triage that names the first
+// divergent span (trace ID, virtual time, phase, node) instead of
+// "bytes differ".
 //
 // Usage:
 //
-//	trenv-diff [-tol F] [-abs-tol F] [-events-tol F] [-allocs-tol F]
-//	           [-format text|json] baseline.json fresh.json
+//	trenv-diff [-tol F] [-abs-tol F] [-format text|json] baseline.json fresh.json
 //	trenv-diff -version
 //
-// Both arguments are either trenv-report/v1 bundles (trenv-bench
-// -report, trenvd GET /report) or trenv-selfbench/v1 artifacts
-// (trenv-bench -selfbench); the two kinds refuse to cross-compare.
-// Output is deterministic: diffing the same pair twice is
-// byte-identical.
+// Both arguments are trenv-report/v1 bundles (trenv-bench -report,
+// trenvd GET /report). Output is deterministic: diffing the same pair
+// twice is byte-identical.
 //
 // Exit codes:
 //
 //	0  comparable and no regression
-//	1  regression: a failed gate, a regressed/missing finding, or a
-//	   determinism divergence
-//	2  usage error, unreadable file, or malformed artifact
+//	1  regression: a regressed/missing finding or a determinism
+//	   divergence
+//	2  usage error, unreadable file, or malformed or non-bundle artifact
 //	3  artifacts refuse comparison (schema, source, seed, or scale
 //	   disagree)
 package main
@@ -49,8 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	tol := fs.Float64("tol", 0, "relative tolerance band on metric/phase/series deltas (0 = exact, right for same-seed artifacts)")
 	absTol := fs.Float64("abs-tol", 0, "absolute tolerance floor: deltas smaller than this are unchanged regardless of -tol")
-	eventsTol := fs.Float64("events-tol", 0, "selfbench throughput-floor band on events_per_sec and invocations_per_sec (0 = default 0.30)")
-	allocsTol := fs.Float64("allocs-tol", 0, "selfbench allocation-ceiling band on allocs_per_event (0 = default 0.20)")
 	format := fs.String("format", "text", "output format: text or json")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -69,12 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 2
 	}
-	res, err := diff.CompareFiles(fs.Arg(0), fs.Arg(1), diff.Options{
-		RelTol:    *tol,
-		AbsTol:    *absTol,
-		EventsTol: *eventsTol,
-		AllocsTol: *allocsTol,
-	})
+	res, err := diff.CompareFiles(fs.Arg(0), fs.Arg(1), diff.Options{RelTol: *tol, AbsTol: *absTol})
 	if err != nil {
 		fmt.Fprintf(stderr, "trenv-diff: %v\n", err)
 		var mismatch *diff.MismatchError

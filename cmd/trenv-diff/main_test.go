@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/report"
-	"repro/internal/selfbench"
 )
 
 // writeBundle renders r into dir under name and returns the path.
@@ -140,33 +139,28 @@ func TestJSONFormatDeterministic(t *testing.T) {
 	}
 }
 
-func TestSelfbenchArtifactsCompare(t *testing.T) {
+// A wall-clock artifact in the retired trenv-selfbench/v1 layout is
+// not a bundle: it is refused as a malformed artifact (exit 2) with the
+// schema named, not compared.
+func TestWallClockArtifactRefused(t *testing.T) {
 	dir := t.TempDir()
-	rep := selfbench.RunSuite(selfbench.Options{Seed: 5, Scale: 0.01})
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	path := filepath.Join(dir, "BENCH_pr6.json")
+	artifact := `{
+  "schema": "trenv-selfbench/v1",
+  "seed": 1,
+  "scale": 0.1,
+  "aggregate": {"events_per_sec": 138889.3, "allocs_per_event": 10.03},
+  "runs": [{"name": "engine-hotloop", "seed": 1, "events": 102016}]
+}
+`
+	if err := os.WriteFile(path, []byte(artifact), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "sb.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	code, _, errOut := runCLI(path, path)
+	if code != 2 {
+		t.Fatalf("wall-clock artifact exit = %d, want 2:\n%s", code, errOut)
 	}
-	code, out, errOut := runCLI(path, path)
-	if code != 0 {
-		t.Fatalf("identical selfbench artifacts rejected (exit %d):\n%s%s", code, out, errOut)
-	}
-	for _, want := range []string{"events_per_sec", "invocations_per_sec", "allocs_per_event"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary lacks gate %s:\n%s", want, out)
-		}
-	}
-
-	// Selfbench artifacts refuse comparison against run bundles.
-	other := writeBundle(t, dir, "bundle.json", func() *report.Report {
-		r := report.New("selfbench", 5, 0.01)
-		return r
-	}())
-	if code, _, _ := runCLI(path, other); code != 3 {
-		t.Fatalf("cross-kind comparison exit = %d, want 3", code)
+	if !strings.Contains(errOut, `schema "trenv-selfbench/v1" is not "trenv-report/v1"`) {
+		t.Fatalf("stderr lacks the schema error:\n%s", errOut)
 	}
 }

@@ -683,7 +683,7 @@ func (s *server) selfstats(w http.ResponseWriter, r *http.Request) {
 		"pprof_enabled":  s.pprof,
 		"engine": map[string]any{
 			"events":              events,
-			"events_per_wall_sec": trenv.WallRate(float64(events), uptime),
+			"events_per_wall_sec": wallRate(float64(events), uptime),
 			"virtual_time":        virtual.String(),
 		},
 		"invocations":     invocations,
@@ -695,6 +695,15 @@ func (s *server) selfstats(w http.ResponseWriter, r *http.Request) {
 		"num_gc":          ms.NumGC,
 		"gc_pause_ns_sum": ms.PauseTotalNs,
 	})
+}
+
+// wallRate returns n per second over a wall-clock interval, or 0 when
+// the interval is zero or negative (a coarse clock can collapse it).
+func wallRate(n float64, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return n / elapsed.Seconds()
 }
 
 // healthz reports node, breaker, and pool status. "ok" degrades to

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	trenv "repro"
 )
@@ -168,5 +169,23 @@ func TestDeterministicExportsIsolatedFromSelfObservability(t *testing.T) {
 	}
 	if a1 != a2 {
 		t.Errorf("/analyze diverged with self-observability on (%d vs %d bytes)", len(a1), len(a2))
+	}
+}
+
+func TestRateGuards(t *testing.T) {
+	cases := []struct {
+		n       float64
+		elapsed time.Duration
+		want    float64
+	}{
+		{10, 0, 0},
+		{10, -time.Second, 0},
+		{10, 2 * time.Second, 5},
+		{0, time.Second, 0},
+	}
+	for _, c := range cases {
+		if got := wallRate(c.n, c.elapsed); got != c.want {
+			t.Errorf("wallRate(%v, %v) = %v, want %v", c.n, c.elapsed, got, c.want)
+		}
 	}
 }

@@ -12,13 +12,6 @@
 // produces byte-identical output. Artifacts that disagree on schema,
 // source, seed, or scale are refused outright with *MismatchError —
 // comparing different workloads answers nothing.
-//
-// Selfbench artifacts (trenv-selfbench/v1) get the regression-gate
-// treatment scripts/bench-compare.sh used to hand-roll in awk:
-// events_per_sec and invocations_per_sec are floors, allocs_per_event
-// is a ceiling, and the deterministic per-run work counts are
-// equality-gated (count drift means the workload changed, which is a
-// different failure than a slow host).
 package diff
 
 import (
@@ -28,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/report"
-	"repro/internal/selfbench"
 )
 
 // ResultSchema identifies the diff output layout.
@@ -43,22 +35,6 @@ type Options struct {
 	// AbsTol is an absolute floor: deltas smaller than it are unchanged
 	// regardless of RelTol (useful for near-zero baselines).
 	AbsTol float64
-	// EventsTol is the floor band on the selfbench throughput gates
-	// (<= 0 means selfbench.DefaultEventsTol).
-	EventsTol float64
-	// AllocsTol is the ceiling band on the selfbench allocation gate
-	// (<= 0 means selfbench.DefaultAllocsTol).
-	AllocsTol float64
-}
-
-func (o Options) normalize() Options {
-	if o.EventsTol <= 0 {
-		o.EventsTol = selfbench.DefaultEventsTol
-	}
-	if o.AllocsTol <= 0 {
-		o.AllocsTol = selfbench.DefaultAllocsTol
-	}
-	return o
 }
 
 // within reports whether new is inside the tolerance band around base.
@@ -111,25 +87,13 @@ func (v Verdict) fails() bool { return v == VerdictRegressed || v == VerdictMiss
 
 // Finding is one attributed difference between the two reports.
 type Finding struct {
-	Kind     string  `json:"kind"` // metric, bench, attribution, critical-path, series, figure, alert, identity, determinism
+	Kind     string  `json:"kind"` // metric, attribution, critical-path, series, figure, alert, identity, determinism
 	Verdict  Verdict `json:"verdict"`
 	Key      string  `json:"key"`
 	Base     float64 `json:"base,omitempty"`
 	New      float64 `json:"new,omitempty"`
 	DeltaPct float64 `json:"delta_pct,omitempty"`
 	Detail   string  `json:"detail,omitempty"`
-}
-
-// Gate is one selfbench aggregate check; every gate renders a line
-// (pass or fail) so the human summary always shows the gated figures.
-type Gate struct {
-	Name     string  `json:"name"`
-	Mode     string  `json:"mode"` // floor, ceil, info
-	Base     float64 `json:"base"`
-	New      float64 `json:"new"`
-	DeltaPct float64 `json:"delta_pct"`
-	Bound    float64 `json:"bound,omitempty"`
-	Pass     bool    `json:"pass"`
 }
 
 // Divergence names the first point where two same-seed span lists stop
@@ -169,22 +133,15 @@ type Result struct {
 	Scale       float64     `json:"scale"`
 	Compared    int         `json:"compared"`
 	Unchanged   int         `json:"unchanged"`
-	Gates       []Gate      `json:"gates,omitempty"`
 	Findings    []Finding   `json:"findings"`
 	Determinism *Divergence `json:"determinism,omitempty"`
 }
 
 // Regressed reports whether the comparison should fail a gate: any
-// regressed/missing finding, any failed gate, or a determinism
-// divergence.
+// regressed/missing finding or a determinism divergence.
 func (r *Result) Regressed() bool {
 	if r.Determinism != nil {
 		return true
-	}
-	for _, g := range r.Gates {
-		if !g.Pass {
-			return true
-		}
 	}
 	for _, f := range r.Findings {
 		if f.Verdict.fails() {
@@ -271,7 +228,6 @@ func deltaPct(base, new float64) float64 {
 // Compare diffs fresh against base. It refuses incomparable pairs with
 // *MismatchError; every other outcome is a Result.
 func Compare(base, fresh *report.Report, o Options) (*Result, error) {
-	o = o.normalize()
 	if err := checkIdentity(base, fresh); err != nil {
 		return nil, err
 	}
@@ -284,7 +240,6 @@ func Compare(base, fresh *report.Report, o Options) (*Result, error) {
 		Scale:  base.Scale,
 	}
 	res.compareFlags(base, fresh)
-	res.compareBench(base, fresh, o)
 	res.compareMetrics(base, fresh, o)
 	res.compareFigures(base, fresh)
 	res.compareAttribution(base, fresh, o)
@@ -294,6 +249,20 @@ func Compare(base, fresh *report.Report, o Options) (*Result, error) {
 	res.triage(base, fresh)
 	res.rankFindings()
 	return res, nil
+}
+
+// CompareFiles loads both trenv-report/v1 bundles and diffs fresh
+// against base.
+func CompareFiles(basePath, freshPath string, o Options) (*Result, error) {
+	base, err := report.ReadFile(basePath)
+	if err != nil {
+		return nil, err
+	}
+	fresh, err := report.ReadFile(freshPath)
+	if err != nil {
+		return nil, err
+	}
+	return Compare(base, fresh, o)
 }
 
 // compareFlags reports identity-flag drift (informational: a changed
@@ -318,64 +287,6 @@ func (r *Result) compareFlags(a, b *report.Report) {
 			Key:     "flag/" + k,
 			Detail:  fmt.Sprintf("baseline %q vs fresh %q", av, bv),
 		})
-	}
-}
-
-// benchGates defines the selfbench aggregate checks in render order:
-// the same three gates scripts/bench-compare.sh applied, the rest
-// informational.
-var benchGates = []struct {
-	name string
-	mode string // floor, ceil, info
-}{
-	{"events_per_sec", "floor"},
-	{"invocations_per_sec", "floor"},
-	{"allocs_per_event", "ceil"},
-	{"spans_per_sec", "info"},
-	{"bytes_per_event", "info"},
-	{"wall_ms_per_sim_sec", "info"},
-	{"obs_overhead_pct", "info"},
-}
-
-// compareBench applies the tolerance-band gates to the wall-clock Bench
-// block (skipped unless both reports carry one).
-func (r *Result) compareBench(a, b *report.Report, o Options) {
-	if len(a.Bench) == 0 || len(b.Bench) == 0 {
-		return
-	}
-	for _, g := range benchGates {
-		base, aok := a.Bench[g.name]
-		new, bok := b.Bench[g.name]
-		if !aok || !bok {
-			continue
-		}
-		gate := Gate{Name: g.name, Mode: g.mode, Base: base, New: new, DeltaPct: deltaPct(base, new), Pass: true}
-		if g.mode != "info" && base > 0 {
-			tol := o.EventsTol
-			if g.mode == "ceil" {
-				tol = o.AllocsTol
-				gate.Bound = base * (1 + tol)
-				gate.Pass = new <= gate.Bound
-			} else {
-				gate.Bound = base * (1 - tol)
-				gate.Pass = new >= gate.Bound
-			}
-		}
-		r.Compared++
-		if gate.Pass {
-			r.Unchanged++
-		} else {
-			r.Findings = append(r.Findings, Finding{
-				Kind:     "bench",
-				Verdict:  VerdictRegressed,
-				Key:      g.name,
-				Base:     base,
-				New:      new,
-				DeltaPct: gate.DeltaPct,
-				Detail:   fmt.Sprintf("%s %.4g crossed", g.mode, gate.Bound),
-			})
-		}
-		r.Gates = append(r.Gates, gate)
 	}
 }
 

@@ -15,10 +15,9 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteText writes the human summary: identity line, one line per
-// selfbench gate (pass or fail, so the gated figures always show),
-// the ranked findings, the determinism diagnosis, and a final verdict
-// line. Output is deterministic for a given Result.
+// WriteText writes the human summary: identity line, the ranked
+// findings, the determinism diagnosis, and a final verdict line.
+// Output is deterministic for a given Result.
 func (r *Result) WriteText(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -27,23 +26,6 @@ func (r *Result) WriteText(w io.Writer) error {
 		}
 	}
 	p("trenv-diff: %s seed %d scale %g\n", r.Source, r.Seed, r.Scale)
-	for _, g := range r.Gates {
-		status := "ok  "
-		if !g.Pass {
-			status = "FAIL"
-		}
-		switch g.Mode {
-		case "info":
-			p("%s %-22s %.6g vs baseline %.6g (%+.1f%%)\n",
-				status, g.Name, g.New, g.Base, g.DeltaPct)
-		case "ceil":
-			p("%s %-22s %.6g vs baseline %.6g (%+.1f%%, ceil %.6g)\n",
-				status, g.Name, g.New, g.Base, g.DeltaPct, g.Bound)
-		default:
-			p("%s %-22s %.6g vs baseline %.6g (%+.1f%%, floor %.6g)\n",
-				status, g.Name, g.New, g.Base, g.DeltaPct, g.Bound)
-		}
-	}
 	if len(r.Findings) > 0 {
 		p("findings (%d):\n", len(r.Findings))
 	}

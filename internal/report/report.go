@@ -9,11 +9,8 @@
 //
 // Bundles are producible from every run shape in the repo: experiments
 // (experiments.BuildReport), a single node (FromPlatform), a rack
-// (FromCluster), the wall-clock self-benchmark (FromSelfbench), and a
-// live daemon (trenvd GET /report). Only FromSelfbench carries
-// host-dependent numbers, and those live in the clearly-marked Bench
-// block that internal/diff gates with tolerance bands instead of
-// equality.
+// (FromCluster) and a live daemon (trenvd GET /report). Bundles carry
+// no wall-clock readings, so internal/diff can gate every field.
 package report
 
 import (
@@ -28,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/selfbench"
 )
 
 // Schema identifies the bundle layout; bump the suffix on any
@@ -102,11 +98,6 @@ type Report struct {
 	GoVersion string            `json:"go_version"`
 	Version   string            `json:"version"`
 	Flags     map[string]string `json:"flags,omitempty"`
-
-	// Bench carries wall-clock readings (selfbench aggregates). They are
-	// host-dependent by definition, so internal/diff gates them with
-	// tolerance bands and never includes them in determinism triage.
-	Bench map[string]float64 `json:"bench,omitempty"`
 
 	Figures  []Figure      `json:"figures,omitempty"`
 	Metrics  []Metric      `json:"metrics,omitempty"`
@@ -352,11 +343,15 @@ func (r *Report) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Decode parses a bundle, refusing anything that does not carry the
-// trenv-report/v1 schema.
+// Decode parses one bundle, refusing trailing data after it and
+// anything that does not carry the trenv-report/v1 schema.
 func Decode(rd io.Reader) (*Report, error) {
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("report: read: %w", err)
+	}
 	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("report: decode: %w", err)
 	}
 	if r.Schema != Schema {
@@ -365,14 +360,18 @@ func Decode(rd io.Reader) (*Report, error) {
 	return &r, nil
 }
 
-// ReadFile parses the bundle at path.
+// ReadFile parses the bundle at path; decode errors name the path.
 func ReadFile(path string) (*Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
 	defer f.Close()
-	return Decode(f)
+	r, err := Decode(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
 }
 
 // FromPlatform bundles a finished single-node run: identity from the
@@ -414,36 +413,6 @@ func FromCluster(source string, scale float64, c *cluster.Cluster, tracer *obs.T
 	}
 	if ae := c.Alerts(); ae != nil {
 		r.AddAlerts("", ae)
-	}
-	r.Sort()
-	return r
-}
-
-// FromSelfbench converts a wall-clock self-benchmark artifact: the
-// host-dependent aggregate lands in Bench (tolerance-gated, never
-// triaged) and each run's deterministic work counts become metrics
-// (equality-gated — count drift means the workload changed, which is a
-// different failure than a slow host).
-func FromSelfbench(sb *selfbench.Report) *Report {
-	r := New("selfbench", sb.Seed, sb.Scale)
-	r.Bench = map[string]float64{
-		"events_per_sec":      sb.Aggregate.EventsPerSec,
-		"invocations_per_sec": sb.Aggregate.InvocationsPerSec,
-		"spans_per_sec":       sb.Aggregate.SpansPerSec,
-		"allocs_per_event":    sb.Aggregate.AllocsPerEvent,
-		"bytes_per_event":     sb.Aggregate.BytesPerEvent,
-		"wall_ms_per_sim_sec": sb.Aggregate.WallMSPerSimSec,
-		"obs_overhead_pct":    sb.Aggregate.ObsOverheadPct,
-	}
-	for _, run := range sb.Runs {
-		for key, v := range map[string]float64{
-			"events":      float64(run.Events),
-			"invocations": float64(run.Invocations),
-			"spans":       float64(run.Spans),
-			"sim_seconds": run.SimSeconds,
-		} {
-			r.Metrics = append(r.Metrics, Metric{Run: run.Name, Key: key, Name: key, Value: v})
-		}
 	}
 	r.Sort()
 	return r

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/selfbench"
 	"repro/internal/workload"
 )
 
@@ -115,6 +114,23 @@ func TestDecodeRefusesWrongSchema(t *testing.T) {
 	}
 }
 
+// Decode reads exactly one bundle: trailing bytes after it are an
+// error, as they are for json.Unmarshal, so every loader of a bundle
+// file accepts and refuses the same files.
+func TestDecodeRefusesTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := New("test", 1, 1).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid bundle refused: %v", err)
+	}
+	buf.WriteString(`"x"`)
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("bundle followed by trailing data accepted")
+	}
+}
+
 func TestThinPointsDeterministicAndBounded(t *testing.T) {
 	var pts []obs.Point
 	for i := 0; i < 1000; i++ {
@@ -139,31 +155,5 @@ func TestThinPointsDeterministicAndBounded(t *testing.T) {
 	short := thinPoints(pts[:10], 24)
 	if len(short) != 10 {
 		t.Fatalf("short series thinned from 10 to %d", len(short))
-	}
-}
-
-func TestFromSelfbenchSplitsBenchAndCounts(t *testing.T) {
-	sb := selfbench.RunSuite(selfbench.Options{Seed: 11, Scale: 0.01})
-	r := FromSelfbench(sb)
-	if r.Source != "selfbench" || r.Seed != 11 || r.Scale != 0.01 {
-		t.Fatalf("identity = %q/%d/%g", r.Source, r.Seed, r.Scale)
-	}
-	for _, key := range []string{"events_per_sec", "invocations_per_sec", "allocs_per_event"} {
-		if _, ok := r.Bench[key]; !ok {
-			t.Fatalf("bench block missing %s", key)
-		}
-	}
-	// Every run contributes its deterministic work counts as metrics.
-	runs := map[string]int{}
-	for _, m := range r.Metrics {
-		runs[m.Run]++
-	}
-	if len(runs) != len(sb.Runs) {
-		t.Fatalf("metrics cover %d runs, want %d", len(runs), len(sb.Runs))
-	}
-	for run, n := range runs {
-		if n != 4 {
-			t.Fatalf("run %s has %d count metrics, want 4", run, n)
-		}
 	}
 }

@@ -51,7 +51,6 @@ import (
 	"repro/internal/pagetable"
 	"repro/internal/prefetch"
 	"repro/internal/report"
-	"repro/internal/selfbench"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/vm"
@@ -610,29 +609,7 @@ func ExperimentIDs() []string {
 }
 
 // ---------------------------------------------------------------------
-// Engine self-observability (wall-clock performance of the simulator
-// itself; see internal/selfbench).
-
-// SelfBenchOptions configure a self-benchmark suite run (seed + scale).
-type SelfBenchOptions = selfbench.Options
-
-// SelfBenchReport is the schema-stable wall-clock report `trenv-bench
-// -selfbench` emits and scripts/bench-compare.sh regression-gates.
-type SelfBenchReport = selfbench.Report
-
-// SelfBenchResult is one measured run inside a SelfBenchReport.
-type SelfBenchResult = selfbench.Result
-
-// RunSelfBench executes the canonical self-benchmark suite: the bare
-// engine hot loop, a single-node W1 run with observability off and on
-// (the overhead probe), and a 4-node cluster run. Deterministic work
-// counts are a pure function of the options; wall-clock readings are
-// host-dependent by definition.
-func RunSelfBench(o SelfBenchOptions) *SelfBenchReport { return selfbench.RunSuite(o) }
-
-// WallRate returns n per second over a wall-clock interval, degrading
-// to 0 on zero or negative intervals instead of dividing by zero.
-func WallRate(n float64, elapsed time.Duration) float64 { return selfbench.Rate(n, elapsed) }
+// Build identity.
 
 // Version returns the module version recorded by the Go toolchain
 // ("(devel)" for source builds).
@@ -672,22 +649,13 @@ func RunReportFromCluster(source string, scale float64, c *Cluster, tracer *Trac
 	return report.FromCluster(source, scale, c, tracer)
 }
 
-// RunReportFromSelfBench converts a wall-clock self-benchmark report
-// into a bundle whose Bench block trenv-diff tolerance-gates.
-func RunReportFromSelfBench(sb *SelfBenchReport) *RunReport { return report.FromSelfbench(sb) }
-
 // ReadRunReport parses the trenv-report/v1 bundle at path.
 func ReadRunReport(path string) (*RunReport, error) { return report.ReadFile(path) }
-
-// LoadRunArtifact reads any comparable artifact — a trenv-report/v1
-// bundle or a trenv-selfbench/v1 report (converted, keeping its schema
-// so the two kinds refuse to cross-compare).
-func LoadRunArtifact(path string) (*RunReport, error) { return diff.LoadFile(path) }
 
 // DiffOptions tune a report comparison (tolerance bands).
 type DiffOptions = diff.Options
 
-// DiffResult is a ranked comparison outcome: gates, findings, and — for
+// DiffResult is a ranked comparison outcome: findings and — for
 // same-seed span-carrying pairs — the first divergent span.
 type DiffResult = diff.Result
 
