@@ -83,9 +83,9 @@ func allocRack(t *testing.T) int64 {
 // any machine. Readings over three runs each, go1.24.0 linux/amd64:
 //
 //	run          plain        -race        ceiling
-//	w1-obs-off    97.0        109.7-109.8    120
-//	w1-obs-on    159.7-160.0  178.2-178.4    200
-//	rack-azure    28.3-28.5    29.2-29.3      35
+//	w1-obs-off    90.1-90.2   102.1-102.5    115
+//	w1-obs-on    152.7        171.1-171.3    195
+//	rack-azure    24.2         25.1-25.2      30
 //
 // Each ceiling sits 10-20% above the -race reading: CI runs the suite
 // under -race with the toolchain go.mod names (go 1.22), on which these
@@ -97,9 +97,9 @@ func TestAllocsPerInvocationCeilings(t *testing.T) {
 		ceiling float64
 		run     func(t *testing.T) int64
 	}{
-		{"w1-obs-off", 120, func(t *testing.T) int64 { return allocW1Node(t, false) }},
-		{"w1-obs-on", 200, func(t *testing.T) int64 { return allocW1Node(t, true) }},
-		{"rack-azure", 35, allocRack},
+		{"w1-obs-off", 115, func(t *testing.T) int64 { return allocW1Node(t, false) }},
+		{"w1-obs-on", 195, func(t *testing.T) int64 { return allocW1Node(t, true) }},
+		{"rack-azure", 30, allocRack},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -55,7 +55,7 @@ func TestKillNodeReleasesAccounting(t *testing.T) {
 	}
 	// Kill while the warm instances still hold memory (keep-alive has not
 	// expired yet at t=1s): the crash must release their accounting.
-	c.Engine().At(time.Second, "kill", func(p *sim.Proc) {
+	c.Engine().At(time.Second, "kill", "", func(p *sim.Proc) {
 		victim := -1
 		for i, node := range c.Nodes() {
 			if node.UsedMemory() > 0 {
@@ -95,7 +95,7 @@ func TestCrashMidRunRedispatches(t *testing.T) {
 	}
 	// Kill n0 while the burst is mid-flight (cold starts run for
 	// milliseconds, so 2ms lands inside the first wave).
-	c.Engine().At(2*time.Millisecond, "kill/n0", func(p *sim.Proc) {
+	c.Engine().At(2*time.Millisecond, "kill", "n0", func(p *sim.Proc) {
 		if err := c.KillNode(0); err != nil {
 			t.Errorf("mid-run kill: %v", err)
 		}

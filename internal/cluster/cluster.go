@@ -433,7 +433,7 @@ func (c *Cluster) pick(fn string, exclude map[string]bool) (*faas.Platform, bool
 // Invoke schedules one invocation at virtual time at, placing it when the
 // time arrives (so warm state is inspected at dispatch, not at submit).
 func (c *Cluster) Invoke(at time.Duration, fn string) {
-	c.eng.At(at, "dispatch/"+fn, func(p *sim.Proc) {
+	c.eng.At(at, "dispatch", fn, func(p *sim.Proc) {
 		c.hedge.dispatch(p, fn, c.dispatcher)
 	})
 }

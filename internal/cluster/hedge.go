@@ -310,7 +310,7 @@ func (h *hedger) armHedge(g *hedgeGroup) {
 		if g.settled || g.hedges > 0 || g.active() == 0 {
 			return
 		}
-		h.c.eng.Go("hedge/"+g.fn, func(p *sim.Proc) {
+		h.c.eng.Go("hedge", g.fn, func(p *sim.Proc) {
 			if g.settled || g.active() == 0 {
 				return
 			}
@@ -351,7 +351,7 @@ func (h *hedger) dispatchClones(p *sim.Proc, g *hedgeGroup, dispatcher string) {
 		node := node
 		g.hedges++
 		h.hedged.Inc()
-		h.c.eng.Go("clone/"+g.fn, func(p2 *sim.Proc) { h.runOn(p2, g, node, "clone") })
+		h.c.eng.Go("clone", g.fn, func(p2 *sim.Proc) { h.runOn(p2, g, node, "clone") })
 	}
 	h.runOn(p, g, primary, dispatcher)
 }
@@ -492,7 +492,7 @@ func (h *hedger) redispatch(g *hedgeGroup, fn string) {
 	}
 	g.redisp++
 	h.redispatched.Inc()
-	h.c.eng.Go("redispatch/"+fn, func(p *sim.Proc) {
+	h.c.eng.Go("redispatch", fn, func(p *sim.Proc) {
 		node, _ := h.c.pick(fn, nil)
 		h.runOn(p, g, node, "redispatch")
 	})

@@ -132,7 +132,7 @@ func TestHedgeWinsAfterPrimaryCrash(t *testing.T) {
 	c, _, settled := hedgeCluster(t, 2)
 	c.SetHedgePolicy(HedgePolicy{Mode: HedgeDelay, Delay: time.Millisecond})
 	c.Invoke(0, "JS") // primary lands on n0 (lowest index, no warm state)
-	c.Engine().At(5*time.Millisecond, "kill/n0", func(p *sim.Proc) {
+	c.Engine().At(5*time.Millisecond, "kill", "n0", func(p *sim.Proc) {
 		if err := c.KillNode(0); err != nil {
 			t.Errorf("mid-run kill: %v", err)
 		}
@@ -232,7 +232,7 @@ func TestRedispatchBudgetExhausted(t *testing.T) {
 		}
 	})
 	c.Invoke(0, "JS")
-	c.Engine().At(5*time.Millisecond, "kill/n0", func(p *sim.Proc) {
+	c.Engine().At(5*time.Millisecond, "kill", "n0", func(p *sim.Proc) {
 		if err := c.KillNode(0); err != nil {
 			t.Errorf("mid-run kill: %v", err)
 		}
@@ -258,7 +258,7 @@ func TestRedispatchBudgetExhausted(t *testing.T) {
 func TestRedispatchWithinBudgetRecovers(t *testing.T) {
 	c, _, settled := hedgeCluster(t, 2)
 	c.Invoke(0, "JS")
-	c.Engine().At(5*time.Millisecond, "kill/n0", func(p *sim.Proc) {
+	c.Engine().At(5*time.Millisecond, "kill", "n0", func(p *sim.Proc) {
 		if err := c.KillNode(0); err != nil {
 			t.Errorf("mid-run kill: %v", err)
 		}

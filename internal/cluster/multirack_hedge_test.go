@@ -58,7 +58,7 @@ func TestMultiRackHedgeLoserCancelled(t *testing.T) {
 // crash re-dispatches and settles successfully.
 func TestMultiRackRedispatchCap(t *testing.T) {
 	kill := func(m *Cluster) {
-		m.Engine().At(5*time.Millisecond, "kill/r1n0", func(p *sim.Proc) {
+		m.Engine().At(5*time.Millisecond, "kill", "r1n0", func(p *sim.Proc) {
 			// JS is homed on rack 1 (Table 4 index 1, alternating homes) and
 			// the idle-fleet tie-break places the primary on the home rack's
 			// first node, r1n0 (flat index 2).

@@ -116,7 +116,7 @@ func TestPickExcludingPrefersWarmElsewhere(t *testing.T) {
 		// it again.
 		c.Invoke(0, "JS")
 		done := false
-		c.Engine().At(time.Second, "probe/warm-pick", func(p *sim.Proc) {
+		c.Engine().At(time.Second, "probe", "warm-pick", func(p *sim.Proc) {
 			warm := pickOne(t, c, "JS", nil)
 			if !warm.HasWarm("JS") {
 				t.Errorf("pick chose cold %s over the warm node", warm.NodeName())
@@ -191,7 +191,7 @@ func TestPickDeterminismUnderLoadSkew(t *testing.T) {
 		// it runs.
 		c.Invoke(0, "PR") // ~600ms exec
 		done := false
-		c.Engine().At(5*time.Millisecond, "probe/pick", func(p *sim.Proc) {
+		c.Engine().At(5*time.Millisecond, "probe", "pick", func(p *sim.Proc) {
 			if got := pickOne(t, c, "JS", nil); got != c.nodes[1] {
 				t.Errorf("pick chose %s while %s is busy, want idle %s", got.NodeName(), c.nodes[0].NodeName(), c.nodes[1].NodeName())
 			}

@@ -406,7 +406,8 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 // Release tears an instance down, returning memory to the node and
 // recycling reusable isolation components: TrEnv sandboxes are cleaned
 // into the universal pool, baseline netns into the netns pool; CRIU/cold
-// sandboxes are discarded.
+// sandboxes are discarded. Only cleaning takes simulated time, so p may
+// be nil when recycleSandbox is false.
 func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
 	if in.Procs != nil {
 		in.Procs.KillAll() // no process survives its instance

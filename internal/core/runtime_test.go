@@ -47,7 +47,7 @@ func prof(t *testing.T, name string) workload.FunctionProfile {
 func run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	e.Go("test", fn)
+	e.Go("test", "", fn)
 	e.Run()
 }
 
@@ -286,7 +286,7 @@ func TestExecCPUQueueing(t *testing.T) {
 	cpu := sim.NewResource("cores", 1)
 	waits := make([]time.Duration, 0, 2)
 	for i := 0; i < 2; i++ {
-		e.Go("inv", func(p *sim.Proc) {
+		e.Go("inv", "", func(p *sim.Proc) {
 			in, _, err := f.rt.StartTrEnv(p, js, img)
 			if err != nil {
 				t.Error(err)

@@ -95,7 +95,7 @@ func Table1(o Options) *Result {
 		e := sim.NewEngine(o.Seed)
 		for i := 0; i < concurrent; i++ {
 			last := i == concurrent-1
-			e.Go("create", func(p *sim.Proc) {
+			e.Go("create", "", func(p *sim.Proc) {
 				_, b := f.Create(p, "fn")
 				if last {
 					net, rootfs, cgCreate, cgMigrate, other = b.NetNS, b.Rootfs, b.CgroupCreate, b.CgroupMigrate, b.Other
@@ -112,7 +112,7 @@ func Table1(o Options) *Result {
 	f := sandbox.NewFactory(sandbox.DefaultCostModel())
 	e := sim.NewEngine(o.Seed)
 	var repurpose time.Duration
-	e.Go("repurpose", func(p *sim.Proc) {
+	e.Go("repurpose", "", func(p *sim.Proc) {
 		sb, _ := f.Create(p, "fnA")
 		f.Clean(p, sb)
 		p.Sleep(5 * time.Millisecond)
@@ -165,7 +165,7 @@ func startupSplit(o Options, pol faas.Policy, concurrent int) (sbMs, restMs floa
 		// path is repurposing (the steady state).
 		eng := pl.Engine()
 		for i := 0; i < concurrent; i++ {
-			eng.Go("seed", func(p *sim.Proc) {
+			eng.Go("seed", "", func(p *sim.Proc) {
 				in, _, err := pl.Runtime().StartCold(p, js)
 				if err != nil {
 					panic(err)
@@ -179,7 +179,7 @@ func startupSplit(o Options, pol faas.Policy, concurrent int) (sbMs, restMs floa
 	var last struct{ sb, rest time.Duration }
 	for i := 0; i < concurrent; i++ {
 		isLast := i == concurrent-1
-		eng.Go("measure", func(p *sim.Proc) {
+		eng.Go("measure", "", func(p *sim.Proc) {
 			t0 := p.Now()
 			var st core.Startup
 			var err error

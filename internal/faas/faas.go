@@ -552,7 +552,7 @@ func (pl *Platform) Redeploy(prof workload.FunctionProfile) error {
 	// Drain stale warm instances; their sandboxes recycle as usual.
 	stale := pl.warm[prof.Name]
 	pl.warm[prof.Name] = nil
-	pl.eng.Go("redeploy-drain/"+prof.Name, func(p *sim.Proc) {
+	pl.eng.Go("redeploy-drain", prof.Name, func(p *sim.Proc) {
 		for _, in := range stale {
 			pl.release(p, in)
 		}
@@ -585,12 +585,19 @@ func (pl *Platform) parkWarm(in *core.Instance) {
 		if in.IdleSince != idleMark || !pl.removeWarm(in) {
 			return
 		}
-		pl.eng.Go("expire/"+in.Function, func(p *sim.Proc) {
-			t0 := p.Now()
+		expire := func(p *sim.Proc) {
+			t0 := pl.eng.Now()
 			pl.release(p, in)
-			pl.recordLifecycle("expire/"+in.Function, in.Function, t0, p.Now(),
+			pl.recordLifecycle("expire/"+in.Function, in.Function, t0, pl.eng.Now(),
 				in.LastTraceID, "after")
-		})
+		}
+		if !pl.cfg.Policy.IsTrEnv() {
+			// Discarding a sandbox takes no simulated time, so the
+			// release needs no process; only TrEnv's cleaning sleeps.
+			expire(nil)
+			return
+		}
+		pl.eng.Go("expire", in.Function, expire)
 	})
 }
 
@@ -1151,7 +1158,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 
 // Invoke schedules one invocation at virtual time at.
 func (pl *Platform) Invoke(at time.Duration, function string) {
-	pl.eng.At(at, "invoke/"+function, func(p *sim.Proc) { pl.invoke(p, function) })
+	pl.eng.At(at, "invoke", function, func(p *sim.Proc) { pl.invoke(p, function) })
 }
 
 // InvokeNow runs one invocation inside the calling simulated process —
@@ -1174,7 +1181,7 @@ func (pl *Platform) startSampler() {
 		return
 	}
 	pl.samplerOn = true
-	pl.eng.Go("mem-sampler", func(p *sim.Proc) {
+	pl.eng.Go("mem-sampler", "", func(p *sim.Proc) {
 		for {
 			pl.memGauge.Set(p.Now(), float64(pl.node.Used()))
 			if p.Now() >= pl.traceEnd && pl.active == 0 {

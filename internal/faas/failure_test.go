@@ -115,7 +115,7 @@ func TestCrashAbortsDeliverOutcome(t *testing.T) {
 	for i := 0; i < n; i++ {
 		pl.Invoke(time.Duration(i)*100*time.Microsecond, "JS")
 	}
-	pl.Engine().At(time.Millisecond, "crash", func(p *sim.Proc) { pl.Crash() })
+	pl.Engine().At(time.Millisecond, "crash", "", func(p *sim.Proc) { pl.Crash() })
 	pl.Engine().Run()
 
 	if len(results) != n {

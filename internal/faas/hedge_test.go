@@ -37,12 +37,12 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
 	before := pl.UsedMemory()
 	tok := NewCancelToken("race")
-	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
+	pl.Engine().At(0, "dispatch", "JS", func(p *sim.Proc) {
 		pl.InvokeAttempt(p, "JS", "test", tok)
 	})
 	// JS executes for ~100ms; 10ms lands mid-exec, after the instance
 	// was admitted and started.
-	pl.Engine().At(10*time.Millisecond, "cancel", func(p *sim.Proc) {
+	pl.Engine().At(10*time.Millisecond, "cancel", "", func(p *sim.Proc) {
 		tok.Cancel("hedge-lost", "winner-trace")
 	})
 	pl.Engine().Run()
@@ -79,7 +79,7 @@ func TestPreCancelledAttemptAbortsAtAdmission(t *testing.T) {
 	pl, results := hedgePlatform(t, nil)
 	tok := NewCancelToken(nil)
 	tok.Cancel("hedge-lost", "")
-	pl.Engine().At(0, "dispatch/JS", func(p *sim.Proc) {
+	pl.Engine().At(0, "dispatch", "JS", func(p *sim.Proc) {
 		pl.InvokeAttempt(p, "JS", "test", tok)
 	})
 	pl.Engine().Run()

@@ -234,7 +234,7 @@ func (inj *Injector) Arm() {
 		if at < inj.eng.Now() {
 			at = inj.eng.Now()
 		}
-		inj.eng.At(at, "fault/crash/"+nc.Node, func(p *sim.Proc) {
+		inj.eng.At(at, "fault/crash", nc.Node, func(p *sim.Proc) {
 			inj.counts["node-crash"]++
 			if inj.tracer != nil {
 				sp := obs.NewSpan("fault/node-crash", p.Now(), p.Now())

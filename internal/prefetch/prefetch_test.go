@@ -47,7 +47,7 @@ func (f *fixture) restore(t *testing.T) (*Summary, pagetable.AccessResult, *page
 	res := &snapshot.Restored{Snapshot: &snapshot.Snapshot{Function: "fn"}, Spaces: []*pagetable.AddressSpace{as}}
 	var sum *Summary
 	var acc pagetable.AccessResult
-	f.eng.Go("invoke", func(p *sim.Proc) {
+	f.eng.Go("invoke", "", func(p *sim.Proc) {
 		sum = f.pf.OnRestore(p, f.log, res)
 		if acc, err = as.Access(p.Rand(), v, touchPages, 0); err != nil {
 			t.Error(err)

@@ -13,7 +13,7 @@ func runProc(t *testing.T, fn func(p *sim.Proc)) time.Duration {
 	t.Helper()
 	e := sim.NewEngine(1)
 	var took time.Duration
-	e.Go("test", func(p *sim.Proc) {
+	e.Go("test", "", func(p *sim.Proc) {
 		start := p.Now()
 		fn(p)
 		took = p.Now() - start
@@ -53,7 +53,7 @@ func TestConcurrentCreationInflatesNetNS(t *testing.T) {
 	e := sim.NewEngine(1)
 	var maxNet time.Duration
 	for i := 0; i < 15; i++ {
-		e.Go("creator", func(p *sim.Proc) {
+		e.Go("creator", "", func(p *sim.Proc) {
 			_, b := f.Create(p, "fn")
 			if b.NetNS > maxNet {
 				maxNet = b.NetNS
@@ -76,7 +76,7 @@ func TestNetNSCapped(t *testing.T) {
 	e := sim.NewEngine(1)
 	var maxNet time.Duration
 	for i := 0; i < 1000; i++ {
-		e.Go("creator", func(p *sim.Proc) {
+		e.Go("creator", "", func(p *sim.Proc) {
 			_, b := f.Create(p, "fn")
 			if b.NetNS > maxNet {
 				maxNet = b.NetNS

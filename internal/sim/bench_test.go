@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -16,7 +15,7 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(1)
 		for p := 0; p < procs; p++ {
-			eng.Go(fmt.Sprintf("hot-%d", p), func(p *Proc) {
+			eng.Go("hot", "", func(p *Proc) {
 				for j := 0; j < iters; j++ {
 					p.Sleep(time.Duration(1+p.Rand().Intn(50)) * time.Microsecond)
 				}
@@ -29,4 +28,37 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 		events += eng.Events()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// spawnSink keeps the stack frame in spawnBody from being optimised away.
+var spawnSink byte
+
+// spawnBody touches a ~16 KB stack frame, as an invocation's call chain
+// does, so a proc on a fresh goroutine has to grow its stack.
+//
+//go:noinline
+func spawnBody(seed byte) byte {
+	var frame [16 << 10]byte // zeroed on entry: the whole frame is written
+	frame[int(seed)*61] = seed + 1
+	return frame[len(frame)-1-int(seed)]
+}
+
+// BenchmarkEngineSpawn times the spawn-heavy shape of a trace replay:
+// 100k short procs, arriving 1 µs apart, each touching a ~16 KB stack
+// frame and sleeping once for 1-50 µs, so about 50 are alive at a time.
+// One op is one engine run; ns/proc is wall time per spawned proc.
+func BenchmarkEngineSpawn(b *testing.B) {
+	const procs = 100000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := NewEngine(1)
+		for j := 0; j < procs; j++ {
+			eng.At(time.Duration(j)*time.Microsecond, "spawn", "", func(p *Proc) {
+				spawnSink = spawnBody(spawnSink)
+				p.Sleep(time.Duration(1+p.Rand().Intn(50)) * time.Microsecond)
+			})
+		}
+		eng.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs), "ns/proc")
 }

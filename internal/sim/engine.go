@@ -1,22 +1,21 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// All TrEnv experiments run on virtual time: simulated processes are
-// goroutines that the engine resumes one at a time in (time, sequence)
-// order, so a given seed always produces bit-identical results. The engine
-// also provides counted resources (CPU cores), condition signals, and the
-// statistics types (histograms, time-weighted gauges) used to report
-// latency distributions and memory curves.
+// All TrEnv experiments run on virtual time: simulated processes run on
+// a pool of carrier goroutines that the engine resumes one at a time in
+// (time, sequence) order, so a given seed always produces bit-identical
+// results. The engine also provides counted resources (CPU cores),
+// condition signals, and the statistics types (histograms, time-weighted
+// gauges) used to report latency distributions and memory curves.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
 // stopPanic is thrown into parked processes when the engine shuts down so
-// their goroutines unwind instead of leaking.
+// their bodies unwind instead of leaking their carriers.
 type stopPanic struct{}
 
 // Engine is a deterministic discrete-event scheduler over virtual time.
@@ -29,13 +28,13 @@ type Engine struct {
 	rng      *rand.Rand
 	parked   chan struct{} // signaled when the active proc yields or exits
 	procs    map[*Proc]struct{}
+	idle     []carrier // carriers whose last body returned
+	carriers int       // carriers ever started (tests check the pool bound)
 	running  bool
 	stopped  bool
-	procSeq  int
 	EventCap int64 // optional safety valve; 0 means unlimited
 	events   int64
 	tracer   func(at time.Duration, kind, name string)
-	free     []*event // recycled event structs for the hot push/pop path
 }
 
 type event struct {
@@ -45,55 +44,66 @@ type event struct {
 	fn   func() // ...or run this callback
 }
 
-type eventHeap []*event
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventHeap is a binary min-heap on (at, seq) that stores events by
+// value, so scheduling allocates nothing once the slice has grown.
+// (at, seq) is a total order, so the pop order is fully determined.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the proc and callback references
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
-func (h eventHeap) peek() *event { return h[0] }
-func (e *Engine) push(ev *event) {
+
+func (e *Engine) push(ev event) {
 	if e.stopped {
 		return // a shut-down engine accepts no new events
 	}
 	e.seq++
 	ev.seq = e.seq
-	heap.Push(&e.queue, ev)
-}
-func (e *Engine) pop() *event { return heap.Pop(&e.queue).(*event) }
-
-// newEvent takes an event struct off the engine's freelist (or allocates
-// one) so the steady-state schedule loop runs allocation-free. Events are
-// recycled by the run loop after they execute; events still queued at
-// Shutdown are simply dropped to the garbage collector.
-func (e *Engine) newEvent(at time.Duration, proc *Proc, fn func()) *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.proc, ev.fn = at, 0, proc, fn
-		return ev
-	}
-	return &event{at: at, proc: proc, fn: fn}
-}
-
-// recycle returns an executed event to the freelist.
-func (e *Engine) recycle(ev *event) {
-	ev.proc, ev.fn = nil, nil
-	e.free = append(e.free, ev)
+	e.queue.push(ev)
 }
 
 // NewEngine returns an engine whose random stream is seeded with seed.
@@ -111,18 +121,31 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random stream.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Proc is a simulated process: a goroutine that only runs while the engine
-// is blocked waiting for it, giving cooperative, deterministic scheduling.
+// Proc is a simulated process: a body that runs on a carrier goroutine
+// only while the engine is blocked waiting for it, giving cooperative,
+// deterministic scheduling. A proc gets its carrier at first resume.
 type Proc struct {
-	eng  *Engine
-	name string
-	id   int
-	wake chan struct{}
-	done bool
+	eng     *Engine
+	kind    string
+	subject string
+	fn      func(p *Proc)
+	c       carrier
+	done    bool
 }
 
-// Name returns the process's debug name.
-func (p *Proc) Name() string { return p.name }
+// A carrier is a long-lived goroutine that runs proc bodies one after
+// another, so a new proc costs neither a goroutine nor a fresh stack.
+// The engine hands control to it by sending the proc to resume.
+type carrier chan *Proc
+
+// Name returns the process's debug name: its kind and subject joined
+// with "/", or the kind alone when the subject is empty.
+func (p *Proc) Name() string {
+	if p.subject == "" {
+		return p.kind
+	}
+	return p.kind + "/" + p.subject
+}
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -133,40 +156,24 @@ func (p *Proc) Now() time.Duration { return p.eng.now }
 // Rand returns the engine's deterministic random stream.
 func (p *Proc) Rand() *rand.Rand { return p.eng.rng }
 
-// Go spawns fn as a simulated process starting at the current virtual time.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.At(e.now, name, fn)
+// Go spawns fn as a simulated process starting at the current virtual
+// time. kind and subject make up its name (see Proc.Name); they are kept
+// apart so spawning does not build a string.
+func (e *Engine) Go(kind, subject string, fn func(p *Proc)) *Proc {
+	return e.At(e.now, kind, subject, fn)
 }
 
 // At spawns fn as a simulated process starting at virtual time t, which
 // must not be in the past.
-func (e *Engine) At(t time.Duration, name string, fn func(p *Proc)) *Proc {
+func (e *Engine) At(t time.Duration, kind, subject string, fn func(p *Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, e.now))
 	}
-	e.procSeq++
-	p := &Proc{eng: e, name: name, id: e.procSeq, wake: make(chan struct{})}
+	p := &Proc{eng: e, kind: kind, subject: subject, fn: fn}
 	e.procs[p] = struct{}{}
-	go func() {
-		<-p.wake // wait for first resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopPanic); !ok {
-					panic(r)
-				}
-			}
-			p.done = true
-			delete(e.procs, p)
-			e.parked <- struct{}{}
-		}()
-		if e.stopped {
-			return // woken by Shutdown before ever running: unwind quietly
-		}
-		fn(p)
-	}()
-	e.push(e.newEvent(t, p, nil))
+	e.push(event{at: t, proc: p})
 	if e.tracer != nil {
-		e.tracer(e.now, "spawn", name)
+		e.tracer(e.now, "spawn", p.Name())
 	}
 	return p
 }
@@ -176,19 +183,75 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.push(e.newEvent(e.now+d, nil, fn))
+	e.push(event{at: e.now + d, fn: fn})
 }
 
-// resume hands control to p and blocks until it yields or finishes.
+// resume hands control to p and blocks until it yields or finishes. A
+// proc's first resume gives it an idle carrier, or starts one; a proc
+// that Shutdown reaches before it ever ran is retired without running.
 func (e *Engine) resume(p *Proc) {
-	p.wake <- struct{}{}
+	if p.c == nil {
+		if e.stopped {
+			p.done = true
+			delete(e.procs, p)
+			return
+		}
+		if n := len(e.idle); n > 0 {
+			p.c = e.idle[n-1]
+			e.idle[n-1] = nil
+			e.idle = e.idle[:n-1]
+		} else {
+			p.c = make(carrier)
+			e.carriers++
+			go e.carry(p.c)
+		}
+	}
+	p.c <- p
 	<-e.parked
 }
 
-// park is called from inside a process goroutine to yield to the engine.
+// carry is a carrier's loop: run the body of the proc it is handed,
+// retire the proc, return to the idle pool and hand control back. The
+// engine goroutine is blocked in resume throughout, so the carrier may
+// touch engine state. Closing the carrier (retireIdle) ends the loop.
+func (e *Engine) carry(c carrier) {
+	for p := range c {
+		runBody(p)
+		p.done = true
+		delete(e.procs, p)
+		e.idle = append(e.idle, c)
+		e.parked <- struct{}{}
+	}
+	e.parked <- struct{}{} // retireIdle waits for the exit
+}
+
+// runBody runs p's body, absorbing the stopPanic that unwinds it at
+// Shutdown.
+func runBody(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopPanic); !ok {
+				panic(r)
+			}
+		}
+	}()
+	p.fn(p)
+}
+
+// retireIdle stops every idle carrier and waits for each to exit. Only
+// procs still parked keep a goroutine once the engine is not running.
+func (e *Engine) retireIdle() {
+	for _, c := range e.idle {
+		close(c)
+		<-e.parked
+	}
+	e.idle = nil
+}
+
+// park is called from inside a process body to yield to the engine.
 func (p *Proc) park() {
 	p.eng.parked <- struct{}{}
-	<-p.wake
+	<-p.c
 	if p.eng.stopped {
 		panic(stopPanic{})
 	}
@@ -200,7 +263,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		panic("sim: negative sleep")
 	}
 	e := p.eng
-	e.push(e.newEvent(e.now+d, p, nil))
+	e.push(event{at: e.now + d, proc: p})
 	p.park()
 }
 
@@ -219,7 +282,7 @@ func (e *Engine) Resume(p *Proc) {
 	if p.done {
 		return
 	}
-	e.push(e.newEvent(e.now, p, nil))
+	e.push(event{at: e.now, proc: p})
 }
 
 // Run executes events until the queue is empty or the engine is shut down.
@@ -242,12 +305,15 @@ func (e *Engine) run(deadline time.Duration) {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.running = false
+		e.retireIdle()
+	}()
 	for len(e.queue) > 0 && !e.stopped {
-		if deadline >= 0 && e.queue.peek().at > deadline {
+		if deadline >= 0 && e.queue[0].at > deadline {
 			break
 		}
-		ev := e.pop()
+		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -256,12 +322,10 @@ func (e *Engine) run(deadline time.Duration) {
 		if e.EventCap > 0 && e.events > e.EventCap {
 			panic("sim: event cap exceeded (runaway simulation?)")
 		}
-		proc, fn := ev.proc, ev.fn
-		e.recycle(ev)
-		if proc != nil {
+		if proc := ev.proc; proc != nil {
 			if !proc.done {
 				if e.tracer != nil {
-					e.tracer(e.now, "resume", proc.name)
+					e.tracer(e.now, "resume", proc.Name())
 				}
 				e.resume(proc)
 			}
@@ -270,7 +334,7 @@ func (e *Engine) run(deadline time.Duration) {
 		if e.tracer != nil {
 			e.tracer(e.now, "callback", "")
 		}
-		fn()
+		ev.fn()
 	}
 	if e.stopped {
 		e.unwind()
@@ -294,10 +358,12 @@ func (e *Engine) Shutdown() {
 		return // run loop performs the unwind after the active proc yields
 	}
 	e.unwind()
+	e.retireIdle()
 }
 
 // unwind resumes every parked process so park() observes stopped and
-// panics with stopPanic, unwinding the goroutine.
+// panics with stopPanic, unwinding the body; procs that never ran are
+// retired without a carrier.
 func (e *Engine) unwind() {
 	for p := range e.procs {
 		if !p.done {
@@ -332,7 +398,7 @@ func (s *Signal) Broadcast(e *Engine) {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		e.push(e.newEvent(e.now, w, nil))
+		e.push(event{at: e.now, proc: w})
 	}
 }
 

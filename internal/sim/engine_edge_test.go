@@ -34,12 +34,12 @@ func TestRunUntilDeadlineEqualsHeadEvent(t *testing.T) {
 func TestShutdownFromInsideRunningProc(t *testing.T) {
 	e := NewEngine(1)
 	var unwound, survived bool
-	e.Go("bystander", func(p *Proc) {
+	e.Go("bystander", "", func(p *Proc) {
 		defer func() { unwound = true }()
 		p.Sleep(time.Hour) // parked well past the shutdown point
 		survived = true
 	})
-	e.Go("killer", func(p *Proc) {
+	e.Go("killer", "", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		p.Engine().Shutdown()
 	})
@@ -62,7 +62,7 @@ func TestShutdownFromInsideRunningProc(t *testing.T) {
 func TestShutdownFromInsideProcThenPark(t *testing.T) {
 	e := NewEngine(1)
 	var unwound bool
-	e.Go("self-stopper", func(p *Proc) {
+	e.Go("self-stopper", "", func(p *Proc) {
 		defer func() { unwound = true }()
 		p.Engine().Shutdown()
 		p.Sleep(time.Second) // must unwind via stopPanic, not run
@@ -86,7 +86,7 @@ func TestPendingAfterShutdown(t *testing.T) {
 	e := NewEngine(1)
 	e.After(time.Millisecond, func() {})
 	e.After(time.Second, func() {})
-	e.Go("sleeper", func(p *Proc) { p.Sleep(time.Minute) })
+	e.Go("sleeper", "", func(p *Proc) { p.Sleep(time.Minute) })
 	e.Shutdown()
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after external Shutdown, want 0", got)
@@ -94,7 +94,7 @@ func TestPendingAfterShutdown(t *testing.T) {
 
 	e2 := NewEngine(2)
 	e2.After(time.Second, func() {})
-	e2.Go("stopper", func(p *Proc) {
+	e2.Go("stopper", "", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		p.Engine().Shutdown()
 	})
@@ -118,20 +118,20 @@ func TestEventCapInt64(t *testing.T) {
 	}
 }
 
-// The freelist keeps the steady-state schedule loop allocation-free: a
-// self-rescheduling proc must stay under a small allocs-per-event
-// ceiling once warmed up.
+// The value-typed event heap keeps the steady-state schedule loop
+// allocation-free: a self-rescheduling proc must stay under a small
+// allocs-per-event ceiling once warmed up.
 func TestAllocsPerEventCeiling(t *testing.T) {
 	e := NewEngine(1)
 	const events = 10000
 	var left = events
-	e.Go("ticker", func(p *Proc) {
+	e.Go("ticker", "", func(p *Proc) {
 		for left > 0 {
 			left--
 			p.Sleep(time.Microsecond)
 		}
 	})
-	e.RunUntil(time.Millisecond) // warm the freelist and the heap slice
+	e.RunUntil(time.Millisecond) // warm the heap slice
 	start := e.Events()
 	allocs := testing.AllocsPerRun(1, func() {
 		e.RunUntil(e.Now() + 5*time.Millisecond)

@@ -8,7 +8,7 @@ import (
 func TestEngineSleepAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	var woke time.Duration
-	e.Go("sleeper", func(p *Proc) {
+	e.Go("sleeper", "", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
 		woke = p.Now()
 	})
@@ -25,10 +25,10 @@ func TestEngineOrderingIsDeterministic(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(42)
 		var order []string
-		e.At(5*time.Millisecond, "b", func(p *Proc) { order = append(order, "b") })
-		e.At(1*time.Millisecond, "a", func(p *Proc) { order = append(order, "a") })
-		e.At(5*time.Millisecond, "c", func(p *Proc) { order = append(order, "c") })
-		e.Go("d", func(p *Proc) {
+		e.At(5*time.Millisecond, "b", "", func(p *Proc) { order = append(order, "b") })
+		e.At(1*time.Millisecond, "a", "", func(p *Proc) { order = append(order, "a") })
+		e.At(5*time.Millisecond, "c", "", func(p *Proc) { order = append(order, "c") })
+		e.Go("d", "", func(p *Proc) {
 			order = append(order, "d0")
 			p.Sleep(2 * time.Millisecond)
 			order = append(order, "d2")
@@ -55,7 +55,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(time.Millisecond, "p", func(p *Proc) { order = append(order, i) })
+		e.At(time.Millisecond, "p", "", func(p *Proc) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -78,7 +78,7 @@ func TestEngineAfterCallback(t *testing.T) {
 func TestRunUntilStopsAndAdvances(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	e.Go("ticker", func(p *Proc) {
+	e.Go("ticker", "", func(p *Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(time.Second)
 			count++
@@ -100,7 +100,7 @@ func TestRunUntilStopsAndAdvances(t *testing.T) {
 
 func TestRunUntilAdvancesPastLastEvent(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("quick", func(p *Proc) { p.Sleep(time.Millisecond) })
+	e.Go("quick", "", func(p *Proc) { p.Sleep(time.Millisecond) })
 	e.RunUntil(time.Hour)
 	if e.Now() != time.Hour {
 		t.Fatalf("now = %v, want 1h", e.Now())
@@ -112,12 +112,12 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	var sig Signal
 	woke := 0
 	for i := 0; i < 3; i++ {
-		e.Go("waiter", func(p *Proc) {
+		e.Go("waiter", "", func(p *Proc) {
 			sig.Wait(p)
 			woke++
 		})
 	}
-	e.Go("broadcaster", func(p *Proc) {
+	e.Go("broadcaster", "", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		if sig.Waiters() != 3 {
 			t.Errorf("waiters = %d, want 3", sig.Waiters())
@@ -135,7 +135,7 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	var sig Signal
 	cleanups := 0
 	for i := 0; i < 4; i++ {
-		e.Go("stuck", func(p *Proc) {
+		e.Go("stuck", "", func(p *Proc) {
 			defer func() { cleanups++ }()
 			sig.Wait(p) // never broadcast
 		})
@@ -150,12 +150,12 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 func TestYieldLetsSameTimeEventsRun(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.Go("first", func(p *Proc) {
+	e.Go("first", "", func(p *Proc) {
 		order = append(order, "first-a")
 		p.Yield()
 		order = append(order, "first-b")
 	})
-	e.Go("second", func(p *Proc) { order = append(order, "second") })
+	e.Go("second", "", func(p *Proc) { order = append(order, "second") })
 	e.Run()
 	want := []string{"first-a", "second", "first-b"}
 	for i := range want {
@@ -179,21 +179,21 @@ func TestRandDeterminism(t *testing.T) {
 
 func TestAtInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("p", func(p *Proc) {
+	e.Go("p", "", func(p *Proc) {
 		p.Sleep(time.Second)
 		defer func() {
 			if recover() == nil {
 				t.Errorf("At in the past did not panic")
 			}
 		}()
-		e.At(0, "bad", func(p *Proc) {})
+		e.At(0, "bad", "", func(p *Proc) {})
 	})
 	e.Run()
 }
 
 func TestNegativeSleepPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("p", func(p *Proc) {
+	e.Go("p", "", func(p *Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Errorf("negative sleep did not panic")
@@ -209,7 +209,7 @@ func TestEngineEventsCounter(t *testing.T) {
 	if e.Events() != 0 {
 		t.Fatalf("fresh engine reports %d events, want 0", e.Events())
 	}
-	e.Go("sleeper", func(p *Proc) {
+	e.Go("sleeper", "", func(p *Proc) {
 		p.Sleep(time.Millisecond) // spawn event + wake event
 	})
 	e.After(2*time.Millisecond, func() {}) // one callback event
@@ -221,7 +221,7 @@ func TestEngineEventsCounter(t *testing.T) {
 	// Same-seed rerun executes the identical count: the counter is a
 	// pure function of the deterministic schedule.
 	e2 := NewEngine(1)
-	e2.Go("sleeper", func(p *Proc) { p.Sleep(time.Millisecond) })
+	e2.Go("sleeper", "", func(p *Proc) { p.Sleep(time.Millisecond) })
 	e2.After(2*time.Millisecond, func() {})
 	e2.Run()
 	if e2.Events() != e.Events() {

@@ -11,13 +11,13 @@ func TestQueueFIFOAcrossProcesses(t *testing.T) {
 	q := NewQueue("jobs")
 	var got []int
 	for i := 0; i < 3; i++ {
-		e.Go("worker", func(p *Proc) {
+		e.Go("worker", "", func(p *Proc) {
 			for j := 0; j < 2; j++ {
 				got = append(got, q.Pop(p).(int))
 			}
 		})
 	}
-	e.Go("producer", func(p *Proc) {
+	e.Go("producer", "", func(p *Proc) {
 		for i := 0; i < 6; i++ {
 			p.Sleep(time.Millisecond)
 			q.Push(e, i)
@@ -47,7 +47,7 @@ func TestQueuePushBeforePop(t *testing.T) {
 		t.Fatalf("len = %d", q.Len())
 	}
 	var first any
-	e.Go("c", func(p *Proc) { first = q.Pop(p) })
+	e.Go("c", "", func(p *Proc) { first = q.Pop(p) })
 	e.Run()
 	if first != "a" {
 		t.Fatalf("first = %v", first)
@@ -64,7 +64,7 @@ func TestQueueReceiverParksUntilPush(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue("q")
 	var at time.Duration
-	e.Go("consumer", func(p *Proc) {
+	e.Go("consumer", "", func(p *Proc) {
 		q.Pop(p)
 		at = p.Now()
 	})
@@ -80,7 +80,7 @@ func TestWaitGroupBasics(t *testing.T) {
 	var wg WaitGroup
 	wg.Add(3)
 	done := false
-	e.Go("waiter", func(p *Proc) {
+	e.Go("waiter", "", func(p *Proc) {
 		wg.Wait(p)
 		done = p.Now() == 3*time.Millisecond
 	})
@@ -101,7 +101,7 @@ func TestWaitGroupImmediate(t *testing.T) {
 	e := NewEngine(1)
 	var wg WaitGroup
 	ran := false
-	e.Go("w", func(p *Proc) {
+	e.Go("w", "", func(p *Proc) {
 		wg.Wait(p) // zero count: no park
 		ran = true
 	})
@@ -142,12 +142,12 @@ func TestQueueConservationProperty(t *testing.T) {
 			total += int(c % 5)
 		}
 		var got []int
-		e.Go("consumer", func(p *Proc) {
+		e.Go("consumer", "", func(p *Proc) {
 			for i := 0; i < total; i++ {
 				got = append(got, q.Pop(p).(int))
 			}
 		})
-		e.Go("producer", func(p *Proc) {
+		e.Go("producer", "", func(p *Proc) {
 			n := 0
 			for _, c := range pushCounts {
 				p.Sleep(time.Microsecond)

@@ -92,7 +92,7 @@ func (r *Resource) Release(e *Engine, n int) {
 		}
 		r.queue = r.queue[1:]
 		r.inUse += w.n
-		e.push(&event{at: e.now, proc: w.p})
+		e.push(event{at: e.now, proc: w.p})
 	}
 }
 

@@ -10,7 +10,7 @@ func TestResourceContentionQueues(t *testing.T) {
 	cpu := NewResource("cpu", 2)
 	var finished []time.Duration
 	for i := 0; i < 4; i++ {
-		e.Go("job", func(p *Proc) {
+		e.Go("job", "", func(p *Proc) {
 			cpu.Acquire(p, 1)
 			p.Sleep(10 * time.Millisecond)
 			cpu.Release(e, 1)
@@ -39,7 +39,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.At(time.Duration(i)*time.Microsecond, "w", func(p *Proc) {
+		e.At(time.Duration(i)*time.Microsecond, "w", "", func(p *Proc) {
 			r.Acquire(p, 1)
 			order = append(order, i)
 			p.Sleep(time.Millisecond)
@@ -58,19 +58,19 @@ func TestResourceMultiUnitDoesNotStarve(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource("r", 4)
 	var bigDone, smallDone time.Duration
-	e.Go("holder", func(p *Proc) {
+	e.Go("holder", "", func(p *Proc) {
 		r.Acquire(p, 3)
 		p.Sleep(10 * time.Millisecond)
 		r.Release(e, 3)
 	})
-	e.Go("big", func(p *Proc) {
+	e.Go("big", "", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		r.Acquire(p, 4) // must wait for holder
 		bigDone = p.Now()
 		p.Sleep(time.Millisecond)
 		r.Release(e, 4)
 	})
-	e.Go("small", func(p *Proc) {
+	e.Go("small", "", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
 		r.Acquire(p, 1) // arrives after big; FIFO means it waits behind big
 		smallDone = p.Now()
@@ -106,12 +106,12 @@ func TestTryAcquire(t *testing.T) {
 func TestResourceMeanWait(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource("r", 1)
-	e.Go("a", func(p *Proc) {
+	e.Go("a", "", func(p *Proc) {
 		r.Acquire(p, 1)
 		p.Sleep(10 * time.Millisecond)
 		r.Release(e, 1)
 	})
-	e.Go("b", func(p *Proc) {
+	e.Go("b", "", func(p *Proc) {
 		r.Acquire(p, 1) // waits 10ms
 		r.Release(e, 1)
 	})

@@ -9,9 +9,10 @@ import (
 func TestTraceLogRecordsSchedulerEvents(t *testing.T) {
 	e := NewEngine(1)
 	log := e.AttachTraceLog(100)
-	e.Go("worker", func(p *Proc) {
+	e.Go("worker", "", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 	})
+	e.Go("invoke", "JS", func(p *Proc) {})
 	e.After(2*time.Millisecond, func() {})
 	e.Run()
 	entries := log.Entries()
@@ -19,7 +20,7 @@ func TestTraceLogRecordsSchedulerEvents(t *testing.T) {
 		t.Fatalf("entries = %d", len(entries))
 	}
 	s := log.String()
-	for _, frag := range []string{"spawn", "resume", "callback", "worker"} {
+	for _, frag := range []string{"spawn", "resume", "callback", "worker\n", "invoke/JS\n"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("trace missing %q:\n%s", frag, s)
 		}
@@ -52,9 +53,9 @@ func TestTracerDetach(t *testing.T) {
 	e := NewEngine(1)
 	calls := 0
 	e.SetTracer(func(time.Duration, string, string) { calls++ })
-	e.Go("a", func(p *Proc) {})
+	e.Go("a", "", func(p *Proc) {})
 	e.SetTracer(nil)
-	e.Go("b", func(p *Proc) {})
+	e.Go("b", "", func(p *Proc) {})
 	e.Run()
 	if calls != 1 { // only a's spawn traced
 		t.Fatalf("calls = %d", calls)
@@ -67,7 +68,7 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 		if trace {
 			e.AttachTraceLog(10)
 		}
-		e.Go("w", func(p *Proc) { p.Sleep(5 * time.Millisecond) })
+		e.Go("w", "", func(p *Proc) { p.Sleep(5 * time.Millisecond) })
 		e.Run()
 		return e.Now()
 	}

@@ -303,7 +303,7 @@ func (pl *Platform) SeedSandboxPool(n int) {
 
 // Launch schedules one agent run at virtual time at.
 func (pl *Platform) Launch(at time.Duration, prof agent.Profile) {
-	pl.eng.At(at, "agent/"+prof.Name, func(p *sim.Proc) { pl.runAgent(p, prof) })
+	pl.eng.At(at, "agent", prof.Name, func(p *sim.Proc) { pl.runAgent(p, prof) })
 }
 
 func (pl *Platform) runAgent(p *sim.Proc, prof agent.Profile) {
