@@ -82,10 +82,10 @@ func allocRack(t *testing.T) int64 {
 // the toolchain, not on the host's speed, so the verdict is the same on
 // any machine. Readings over three runs each, go1.24.0 linux/amd64:
 //
-//	run          plain        -race        ceiling
-//	w1-obs-off    90.1-90.2   102.1-102.5    115
-//	w1-obs-on    152.7        171.1-171.3    195
-//	rack-azure    24.2         25.1-25.2      30
+//	run          plain   -race         ceiling
+//	w1-obs-off    36.9    37.5-37.7       44
+//	w1-obs-on     99.5   106.4-106.8     125
+//	rack-azure    14.5    15.0-15.1       18
 //
 // Each ceiling sits 10-20% above the -race reading: CI runs the suite
 // under -race with the toolchain go.mod names (go 1.22), on which these
@@ -97,9 +97,9 @@ func TestAllocsPerInvocationCeilings(t *testing.T) {
 		ceiling float64
 		run     func(t *testing.T) int64
 	}{
-		{"w1-obs-off", 115, func(t *testing.T) int64 { return allocW1Node(t, false) }},
-		{"w1-obs-on", 195, func(t *testing.T) int64 { return allocW1Node(t, true) }},
-		{"rack-azure", 30, allocRack},
+		{"w1-obs-off", 44, func(t *testing.T) int64 { return allocW1Node(t, false) }},
+		{"w1-obs-on", 125, func(t *testing.T) int64 { return allocW1Node(t, true) }},
+		{"rack-azure", 18, allocRack},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/mmtemplate"
-	"repro/internal/osproc"
 	"repro/internal/pagetable"
 	"repro/internal/prefetch"
 	"repro/internal/sandbox"
@@ -55,10 +54,7 @@ type Instance struct {
 	Sandbox  *sandbox.Sandbox // container paths
 	NetNS    *sandbox.NetNS   // microVM baselines
 	Restored *snapshot.Restored
-	// Procs is the instance's PID namespace: the restored process tree
-	// (threads, descriptors) that cleaning must terminate completely.
-	Procs *osproc.PIDNamespace
-	Path  StartPath
+	Path     StartPath
 	// OverheadBytes is the fixed isolation overhead charged to the node
 	// (container scaffolding, or guest kernel + hypervisor for VMs).
 	OverheadBytes int64
@@ -190,73 +186,60 @@ func DefaultRuntime(tracker *mem.Tracker) *Runtime {
 
 func (rt *Runtime) chargeOverhead(n int64) error { return rt.Tracker.Alloc(n) }
 
-// restoreProcs rebuilds the snapshot's process tree (threads, fd tables)
-// in a fresh PID namespace — the structural side of CRIU's clone-based
-// restore whose per-thread/per-fd costs the restore paths charge.
-func restoreProcs(snap *snapshot.Snapshot) (*osproc.PIDNamespace, error) {
-	ns := osproc.NewPIDNamespace()
-	specs := make([]osproc.ProcSpec, 0, len(snap.Procs))
-	for i := range snap.Procs {
-		p := &snap.Procs[i]
-		specs = append(specs, osproc.ProcSpec{Name: p.Name, Threads: p.Threads, FDs: p.FDs})
-	}
-	if _, err := osproc.RestoreTree(ns, specs); err != nil {
-		return nil, err
-	}
-	return ns, nil
+// abort unwinds a start that failed part-way, retiring the partial
+// instance the way Release would: restored memory goes back to the node,
+// a microVM's netns back to its pool, a recyclable sandbox is cleaned
+// into the universal pool and a discard-path sandbox is destroyed.
+func (rt *Runtime) abort(p *sim.Proc, in *Instance, recycle bool, err error) (*Instance, Startup, error) {
+	rt.Release(p, in, recycle)
+	return nil, Startup{}, err
 }
 
 // StartCold performs faasd's cold start: full sandbox creation plus the
 // bootstrap phase; the process ends up with the whole image resident.
-func (rt *Runtime) StartCold(p *sim.Proc, prof workload.FunctionProfile) (*Instance, Startup, error) {
+// snap is the function's registered snapshot, the layout bootstrapping
+// materializes.
+func (rt *Runtime) StartCold(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot) (*Instance, Startup, error) {
 	sb, bd := rt.Factory.Create(p, prof.Name)
+	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: PathCold}
 	// Bootstrapping allocates the image as it initializes.
-	res, err := snapshot.RestoreFullCopy(prof.Snapshot(), rt.Tracker, rt.Lat, rt.RestoreCosts)
+	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
 	if err != nil {
-		return nil, Startup{}, fmt.Errorf("core: cold start %s: %w", prof.Name, err)
+		return rt.abort(p, in, false, fmt.Errorf("core: cold start %s: %w", prof.Name, err))
 	}
 	rt.adopt(res)
+	in.Restored = res
 	res.Latency = 0 // materialization cost is part of ColdInit below
 	p.Sleep(prof.ColdInit)
 	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
+		return rt.abort(p, in, false, err)
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
+	in.OverheadBytes = rt.ContainerOverhead
 	st := Startup{Path: PathCold, Sandbox: bd.Total(), Restore: prof.ColdInit, SandboxBD: bd}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: PathCold, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return in, st, nil
 }
 
 // StartCRIU creates a fresh sandbox and restores the process with a
 // vanilla CRIU full-copy restore.
 func (rt *Runtime) StartCRIU(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot) (*Instance, Startup, error) {
 	sb, bd := rt.Factory.Create(p, prof.Name)
+	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: PathCRIU}
 	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
 	if err != nil {
-		return nil, Startup{}, fmt.Errorf("core: criu start %s: %w", prof.Name, err)
+		return rt.abort(p, in, false, fmt.Errorf("core: criu start %s: %w", prof.Name, err))
 	}
 	rt.adopt(res)
+	in.Restored = res
 	restore := rt.sleepFullRestore(p, res.Latency, snap.MemBytes())
 	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
+		return rt.abort(p, in, false, err)
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
+	in.OverheadBytes = rt.ContainerOverhead
 	rbd := res.BD
 	rbd.Copy += restore - res.Latency // concurrent-restore sharing surcharge
 	st := Startup{Path: PathCRIU, Sandbox: bd.Total(), Restore: restore, SandboxBD: bd, RestoreBD: rbd,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: PathCRIU, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return in, st, nil
 }
 
 // StartLazyVM starts a REAP+/FaaSnap+-style microVM: netns from the
@@ -270,6 +253,7 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 		ns, d = rt.Factory.CreateNetNS(p)
 		sbd.NetNS = d
 	}
+	in := &Instance{Function: prof.Name, Profile: prof, NetNS: ns, Path: PathLazyVM}
 	p.Sleep(rt.VMResume)
 	sbd.Other = rt.VMResume // Firecracker device-state resume
 	sandboxCost := sbd.Total()
@@ -277,28 +261,20 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 	res, err := snapshot.RestoreLazy(p.Rand(), snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
 	if err != nil {
 		tmpfs.EndFetch()
-		rt.NetPool.Put(ns)
-		return nil, Startup{}, fmt.Errorf("core: lazy start %s: %w", prof.Name, err)
+		return rt.abort(p, in, false, fmt.Errorf("core: lazy start %s: %w", prof.Name, err))
 	}
 	rt.adopt(res)
+	in.Restored = res
 	p.Sleep(res.Latency)
 	tmpfs.EndFetch()
 	if err := rt.chargeOverhead(rt.VMOverhead); err != nil {
-		res.ReleaseAll()
-		rt.NetPool.Put(ns)
-		return nil, Startup{}, err
+		return rt.abort(p, in, false, err)
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		rt.NetPool.Put(ns)
-		return nil, Startup{}, err
-	}
+	in.OverheadBytes = rt.VMOverhead
 	st := Startup{Path: PathLazyVM, Sandbox: sandboxCost, Restore: res.Latency,
 		SandboxBD: sbd, RestoreBD: res.BD,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, NetNS: ns, Restored: res,
-		Procs: procs, Path: PathLazyVM, OverheadBytes: rt.VMOverhead}, st, nil
+	return in, st, nil
 }
 
 // StartTrEnv starts an instance the TrEnv way: repurpose a pooled sandbox
@@ -321,26 +297,21 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 		}
 		sandboxCost = d
 	}
+	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: path}
 	res, err := snapshot.RestoreTemplate(img, rt.Tracker, rt.Lat, rt.AttachCosts, rt.RestoreCosts)
 	if err != nil {
 		// Don't leak the sandbox on a failed restore (e.g. an injected
 		// pool outage): scrub it back into the universal pool so the
 		// fallback cold start — or the next invocation — can reuse it.
-		rt.Factory.Clean(p, sb)
-		rt.SBPool.Put(sb)
-		return nil, Startup{}, fmt.Errorf("core: trenv start %s: %w", prof.Name, err)
+		return rt.abort(p, in, true, fmt.Errorf("core: trenv start %s: %w", prof.Name, err))
 	}
 	rt.adopt(res)
+	in.Restored = res
 	p.Sleep(res.Latency)
 	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
+		return rt.abort(p, in, true, err)
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
+	in.OverheadBytes = rt.ContainerOverhead
 	st := Startup{Path: path, Sandbox: sandboxCost, Restore: res.Latency,
 		SandboxBD: sbd, RestoreBD: res.BD}
 	if rt.Prefetcher != nil {
@@ -349,8 +320,7 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 		// latency never blocks the start path.
 		st.Prefetch = rt.Prefetcher.OnRestore(p, img.WSLog, res)
 	}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return in, st, nil
 }
 
 // StartReconfig is the Figure 21 ablation: sandbox repurposing is on, but
@@ -379,28 +349,24 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 			sandboxCost += sbd.CgroupMigrate
 		}
 	}
+	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: path}
 	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
 	if err != nil {
-		return nil, Startup{}, fmt.Errorf("core: reconfig start %s: %w", prof.Name, err)
+		return rt.abort(p, in, true, fmt.Errorf("core: reconfig start %s: %w", prof.Name, err))
 	}
 	rt.adopt(res)
+	in.Restored = res
 	restore := rt.sleepFullRestore(p, res.Latency, snap.MemBytes())
 	if err := rt.chargeOverhead(rt.ContainerOverhead); err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
+		return rt.abort(p, in, true, err)
 	}
-	procs, err := restoreProcs(res.Snapshot)
-	if err != nil {
-		res.ReleaseAll()
-		return nil, Startup{}, err
-	}
+	in.OverheadBytes = rt.ContainerOverhead
 	rbd := res.BD
 	rbd.Copy += restore - res.Latency
 	st := Startup{Path: path, Sandbox: sandboxCost, Restore: restore,
 		SandboxBD: sbd, RestoreBD: rbd,
 		RestorePool: res.CopyPool, RestorePages: res.CopyPages}
-	return &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Restored: res,
-		Procs: procs, Path: path, OverheadBytes: rt.ContainerOverhead}, st, nil
+	return in, st, nil
 }
 
 // Release tears an instance down, returning memory to the node and
@@ -409,9 +375,6 @@ func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, sna
 // sandboxes are discarded. Only cleaning takes simulated time, so p may
 // be nil when recycleSandbox is false.
 func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
-	if in.Procs != nil {
-		in.Procs.KillAll() // no process survives its instance
-	}
 	if in.Restored != nil {
 		in.Restored.ReleaseAll()
 	}
@@ -441,9 +404,6 @@ func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
 // recycled and no simulated time is charged — there is no node left to
 // run cleanup on. Safe to call without a live sim.Proc.
 func (rt *Runtime) ReleaseCrashed(in *Instance) {
-	if in.Procs != nil {
-		in.Procs.KillAll()
-	}
 	if in.Restored != nil {
 		in.Restored.ReleaseAll()
 	}

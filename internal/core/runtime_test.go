@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/mem"
 	"repro/internal/mmtemplate"
+	"repro/internal/sandbox"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
@@ -55,7 +57,7 @@ func TestStartColdPaysBootstrapAndSandbox(t *testing.T) {
 	f := newFixture()
 	js := prof(t, "JS")
 	run(t, func(p *sim.Proc) {
-		in, st, err := f.rt.StartCold(p, js)
+		in, st, err := f.rt.StartCold(p, js, js.Snapshot())
 		if err != nil {
 			t.Error(err)
 			return
@@ -340,7 +342,7 @@ func TestReconfigAblationOrdering(t *testing.T) {
 	var reconfig, cgroup, tmpl time.Duration
 	run(t, func(p *sim.Proc) {
 		seed := func() { // ensure pool has a cleaned sandbox
-			in, _, err := f.rt.StartCold(p, js)
+			in, _, err := f.rt.StartCold(p, js, snap)
 			if err != nil {
 				t.Error(err)
 				return
@@ -375,5 +377,89 @@ func TestReconfigAblationOrdering(t *testing.T) {
 	})
 	if !(reconfig > cgroup && cgroup > tmpl) {
 		t.Fatalf("ablation ordering broken: reconfig=%v cgroup=%v template=%v", reconfig, cgroup, tmpl)
+	}
+}
+
+// TestFailedStartReturnsEverything: a start that fails after its sandbox
+// exists, because the restore or the overhead charge runs out of node
+// DRAM, hands back all it took. The pooled sandbox is back in the pool,
+// no cgroup still holds a process, and the node's memory is unchanged.
+func TestFailedStartReturnsEverything(t *testing.T) {
+	js := prof(t, "JS")
+	snap := js.Snapshot()
+	overhead := DefaultRuntime(nil).ContainerOverhead
+	cold := func(f *fixture, p *sim.Proc, _ *snapshot.Image) error {
+		_, _, err := f.rt.StartCold(p, js, snap)
+		return err
+	}
+	criu := func(f *fixture, p *sim.Proc, _ *snapshot.Image) error {
+		_, _, err := f.rt.StartCRIU(p, js, snap)
+		return err
+	}
+	trenv := func(f *fixture, p *sim.Proc, img *snapshot.Image) error {
+		_, _, err := f.rt.StartTrEnv(p, js, img)
+		return err
+	}
+	reconfig := func(f *fixture, p *sim.Proc, _ *snapshot.Image) error {
+		_, _, err := f.rt.StartReconfig(p, js, snap, true)
+		return err
+	}
+	cases := []struct {
+		name     string
+		node     int64 // node DRAM capacity
+		pooled   bool  // seed the universal pool with a cleaned sandbox
+		overhead bool  // the restore fits; charging the overhead fails
+		start    func(f *fixture, p *sim.Proc, img *snapshot.Image) error
+	}{
+		{"cold/restore", overhead, false, false, cold},
+		{"cold/overhead", snap.MemBytes() + overhead/2, false, true, cold},
+		{"criu/restore", overhead, false, false, criu},
+		{"criu/overhead", snap.MemBytes() + overhead/2, false, true, criu},
+		{"trenv/overhead", overhead / 2, true, true, trenv},
+		{"reconfig/restore", overhead, true, false, reconfig},
+		{"reconfig/overhead", snap.MemBytes() + overhead/2, true, true, reconfig},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture()
+			f.node = mem.NewTracker("node", c.node)
+			f.rt.Tracker = f.node
+			img, err := f.store.Preprocess(js.Snapshot(), snapshot.Placement{Hot: f.cxl, HotFraction: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.pooled {
+				f.rt.SBPool.Put(f.rt.Factory.CreateWarm())
+			}
+			type state struct {
+				pooled, busy int
+				used         int64
+			}
+			now := func() state {
+				s := state{pooled: f.rt.SBPool.Len(), used: f.node.Used()}
+				f.rt.Factory.Cgroups.Root().Walk(func(n *sandbox.CgroupNode) {
+					if n.Procs > 0 {
+						s.busy++
+					}
+				})
+				return s
+			}
+			before := now()
+			run(t, func(p *sim.Proc) {
+				err = c.start(f, p, img)
+			})
+			var nm *mem.ErrNoMemory
+			switch {
+			case err == nil:
+				t.Fatal("start succeeded on a node too small for it")
+			case !errors.As(err, &nm):
+				t.Fatalf("start failed for another reason: %v", err)
+			case c.overhead != (nm.Need == overhead):
+				t.Fatalf("start failed at the wrong step: %v", err)
+			}
+			if after := now(); after != before {
+				t.Errorf("after the failed start: %+v, before it: %+v", after, before)
+			}
+		})
 	}
 }

@@ -187,13 +187,17 @@ func TestProcessTreeDiesWithInstance(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if inJS.Procs.TotalThreads() != js.Threads {
-			t.Errorf("JS threads = %d, want %d", inJS.Procs.TotalThreads(), js.Threads)
+		if got := inJS.Restored.Snapshot.Threads(); got != js.Threads {
+			t.Errorf("JS threads = %d, want %d", got, js.Threads)
 		}
-		jsNS := inJS.Procs
+		sb := inJS.Sandbox
+		cg := sb.Cgroup.Node
+		if cg.Procs == 0 {
+			t.Fatal("running instance has no process in its cgroup")
+		}
 		f.rt.Release(p, inJS, true)
-		if jsNS.Live() != 0 {
-			t.Error("JS processes survived release")
+		if cg.Procs != 0 {
+			t.Errorf("JS processes survived release: cgroup %s holds %d", cg.Name, cg.Procs)
 		}
 		p.Sleep(5 * time.Millisecond)
 		inCR, _, err := f.rt.StartTrEnv(p, cr, crImg)
@@ -201,11 +205,14 @@ func TestProcessTreeDiesWithInstance(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if inCR.Procs.TotalThreads() != cr.Threads {
-			t.Errorf("CR threads = %d, want %d", inCR.Procs.TotalThreads(), cr.Threads)
+		if inCR.Sandbox != sb {
+			t.Fatal("CR did not repurpose JS's sandbox")
 		}
-		if inCR.Procs == jsNS {
-			t.Error("PID namespace shared across instances")
+		if got := inCR.Restored.Snapshot.Threads(); got != cr.Threads {
+			t.Errorf("CR threads = %d, want %d", got, cr.Threads)
+		}
+		if cg.Procs != 1 {
+			t.Errorf("repurposed cgroup holds %d processes, want only CR's", cg.Procs)
 		}
 	})
 }

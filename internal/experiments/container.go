@@ -160,13 +160,14 @@ func startupSplit(o Options, pol faas.Policy, concurrent int) (sbMs, restMs floa
 	pl := faas.New(cfg)
 	js, _ := workload.ProfileByName("JS")
 	pl.Register(js)
+	snap := js.Snapshot()
 	if pol.IsTrEnv() {
 		// Seed the universal pool with cleaned sandboxes so the measured
 		// path is repurposing (the steady state).
 		eng := pl.Engine()
 		for i := 0; i < concurrent; i++ {
 			eng.Go("seed", "", func(p *sim.Proc) {
-				in, _, err := pl.Runtime().StartCold(p, js)
+				in, _, err := pl.Runtime().StartCold(p, js, snap)
 				if err != nil {
 					panic(err)
 				}
@@ -185,9 +186,9 @@ func startupSplit(o Options, pol faas.Policy, concurrent int) (sbMs, restMs floa
 			var err error
 			switch pol {
 			case faas.PolicyFaasd:
-				_, st, err = pl.Runtime().StartCold(p, js)
+				_, st, err = pl.Runtime().StartCold(p, js, snap)
 			case faas.PolicyCRIU:
-				_, st, err = pl.Runtime().StartCRIU(p, js, js.Snapshot())
+				_, st, err = pl.Runtime().StartCRIU(p, js, snap)
 			default:
 				_, st, err = pl.Runtime().StartTrEnv(p, js, pl.Store().Image(js.Name))
 			}

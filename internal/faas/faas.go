@@ -705,7 +705,7 @@ func (pl *Platform) contentionPools() []*mem.Pool {
 func (pl *Platform) start(p *sim.Proc, fn *Function) (*core.Instance, core.Startup, error) {
 	switch pl.cfg.Policy {
 	case PolicyFaasd:
-		return pl.rt.StartCold(p, fn.Profile)
+		return pl.rt.StartCold(p, fn.Profile, fn.Snap)
 	case PolicyCRIU:
 		return pl.rt.StartCRIU(p, fn.Profile, fn.Snap)
 	case PolicyREAPPlus:
@@ -888,7 +888,7 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 				// injected outage window. Build the instance from scratch
 				// locally instead of wedging — slower, but available.
 				fallbackAt = p.Now()
-				in, st, err = pl.rt.StartCold(p, fn.Profile)
+				in, st, err = pl.rt.StartCold(p, fn.Profile, fn.Snap)
 				if err != nil {
 					res.Err = err
 					pl.failInvocation(traceID, name, tArrive, p.Now(),

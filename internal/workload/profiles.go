@@ -131,17 +131,29 @@ func (p FunctionProfile) ReadOnlyRatio() float64 {
 // ImagePages returns the snapshot size in pages.
 func (p FunctionProfile) ImagePages() int { return mem.PagesFor(p.MemBytes) }
 
+// regionNames orders the image's regions: the language runtime and
+// library set shared with every function of the same language, then the
+// function's private heap.
+var regionNames = [3]string{"runtime", "libs", "heap"}
+
+// pageSplit returns the page counts of the image's regions, in
+// regionNames order: the language's shared runtime and libs, and a heap
+// holding the rest of the image.
+func (p FunctionProfile) pageSplit() [3]int {
+	runtimePages := mem.PagesFor(langRuntimeBytes[p.Lang])
+	libPages := mem.PagesFor(langLibsBytes[p.Lang])
+	heapPages := p.ImagePages() - runtimePages - libPages
+	if heapPages < 1 {
+		panic(fmt.Sprintf("workload: %s image smaller than shared content", p.Name))
+	}
+	return [3]int{runtimePages, libPages, heapPages}
+}
+
 // Snapshot synthesizes the function's CRIU snapshot: a runtime region and
 // a libs region shared (same content key) with all functions of the same
 // language, and a private heap.
 func (p FunctionProfile) Snapshot() *snapshot.Snapshot {
-	pages := p.ImagePages()
-	runtimePages := mem.PagesFor(langRuntimeBytes[p.Lang])
-	libPages := mem.PagesFor(langLibsBytes[p.Lang])
-	heapPages := pages - runtimePages - libPages
-	if heapPages < 1 {
-		panic(fmt.Sprintf("workload: %s image smaller than shared content", p.Name))
-	}
+	pages := p.pageSplit()
 	return &snapshot.Snapshot{
 		Function: p.Name,
 		Procs: []snapshot.ProcessImage{{
@@ -149,13 +161,13 @@ func (p FunctionProfile) Snapshot() *snapshot.Snapshot {
 			Threads: p.Threads,
 			FDs:     p.FDs,
 			Regions: []snapshot.Region{
-				{Name: "runtime", Bytes: int64(runtimePages) * mem.PageSize,
+				{Name: regionNames[0], Bytes: int64(pages[0]) * mem.PageSize,
 					Prot: pagetable.Read | pagetable.Exec, Kind: pagetable.File,
 					ContentKey: "runtime/" + p.Lang},
-				{Name: "libs", Bytes: int64(libPages) * mem.PageSize,
+				{Name: regionNames[1], Bytes: int64(pages[1]) * mem.PageSize,
 					Prot: pagetable.Read, Kind: pagetable.File,
 					ContentKey: "libs/" + p.Lang},
-				{Name: "heap", Bytes: int64(heapPages) * mem.PageSize,
+				{Name: regionNames[2], Bytes: int64(pages[2]) * mem.PageSize,
 					Prot: pagetable.Read | pagetable.Write, Kind: pagetable.Anon},
 			},
 		}},
@@ -171,40 +183,27 @@ type RegionAccess struct {
 	WritePages int
 }
 
-// Accesses returns the per-region working set of one invocation.
-func (p FunctionProfile) Accesses() []RegionAccess {
-	snap := p.Snapshot()
+// Accesses returns the per-region working set of one invocation, in the
+// snapshot's region order. It allocates nothing.
+func (p FunctionProfile) Accesses() [3]RegionAccess {
+	pages := p.pageSplit()
 	totalPages := p.ImagePages()
 	readTotal := int(float64(totalPages) * p.ReadFrac)
 	writeTotal := int(float64(totalPages) * p.WriteFrac)
-	var out []RegionAccess
-	regs := snap.Procs[0].Regions
+	var out [3]RegionAccess
 	assigned := 0
-	for i, r := range regs {
-		rp := r.Pages()
-		var reads int
-		if i == len(regs)-1 {
-			reads = readTotal - assigned
-		} else {
+	for i, rp := range pages {
+		reads := readTotal - assigned // the heap takes the remainder
+		if i < len(pages)-1 {
 			reads = int(float64(readTotal) * float64(rp) / float64(totalPages))
 		}
-		if reads > rp {
-			reads = rp
-		}
+		reads = min(reads, rp)
 		assigned += reads
-		ra := RegionAccess{Region: r.Name, ReadPages: reads}
-		if r.Prot&pagetable.Write != 0 {
-			w := writeTotal
-			if w > rp {
-				w = rp
-			}
-			ra.WritePages = w
-			if ra.ReadPages < w {
-				ra.ReadPages = w // written pages are also touched
-			}
-		}
-		out = append(out, ra)
+		out[i] = RegionAccess{Region: regionNames[i], ReadPages: reads}
 	}
+	heap := &out[2]
+	heap.WritePages = min(writeTotal, pages[2])
+	heap.ReadPages = max(heap.ReadPages, heap.WritePages) // written pages are also touched
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/pagetable"
 )
 
 func TestTable4MatchesPaper(t *testing.T) {
@@ -105,13 +106,30 @@ func TestSharedRegionsHaveLanguageKeys(t *testing.T) {
 func TestAccessesConsistentWithFractions(t *testing.T) {
 	for _, p := range Table4() {
 		accs := p.Accesses()
+		regs := p.Snapshot().Procs[0].Regions
+		if len(regs) != len(accs) {
+			t.Fatalf("%s: %d accesses for %d regions", p.Name, len(accs), len(regs))
+		}
 		var reads, writes int
-		for _, a := range accs {
+		for i, a := range accs {
+			r := regs[i]
+			if a.Region != r.Name {
+				t.Errorf("%s: access %d names %q, snapshot region is %q", p.Name, i, a.Region, r.Name)
+			}
+			if a.ReadPages > r.Pages() {
+				t.Errorf("%s/%s: reads %d exceed the region's %d pages", p.Name, a.Region, a.ReadPages, r.Pages())
+			}
+			if a.WritePages > 0 && r.Prot&pagetable.Write == 0 {
+				t.Errorf("%s/%s: %d writes to a read-only region", p.Name, a.Region, a.WritePages)
+			}
 			reads += a.ReadPages
 			writes += a.WritePages
 			if a.WritePages > a.ReadPages {
 				t.Errorf("%s/%s: writes (%d) exceed touched reads (%d)", p.Name, a.Region, a.WritePages, a.ReadPages)
 			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = p.Accesses() }); n != 0 {
+			t.Errorf("%s: Accesses allocates %.1f times per call", p.Name, n)
 		}
 		// Written pages count as touched, so write-heavy functions (IFR)
 		// can exceed the read target by the heap write surplus.
