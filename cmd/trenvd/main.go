@@ -8,7 +8,7 @@
 //	trenvd [-addr :8080] [-policy trenv-cxl] [-seed 1] [-node n0]
 //	       [-slo-target-ms 0] [-slo-objective 0.99] [-sample-ms 100]
 //	       [-prefetch] [-promote-threshold 0] [-pprof] [-rules <spec>]
-//	       [-hedge-policy <spec>] [-hedge-delay <dur>]
+//	       [-hedge-policy <spec>]
 //	trenvd -version
 //
 // -node labels every exported series (node="n0") so several trenvd
@@ -26,8 +26,8 @@
 // the built-in set) evaluated on every flight-recorder sample and
 // served on /alerts; -hedge-policy arms a request-hedging policy
 // ("delay:<dur>", "p<pct>", "clone:<n>" — README has the grammar) on
-// every cluster POST /experiments/run builds, and -hedge-delay is
-// shorthand for "delay:<dur>"; -version prints the build and exits.
+// every cluster POST /experiments/run builds; -version prints the build
+// and exits.
 //
 // Endpoints:
 //
@@ -267,7 +267,6 @@ func main() {
 	promoteAfter := flag.Int("promote-threshold", 0, "replay count that promotes a working set into the direct-access cache (0 = never; needs -prefetch)")
 	rulesSpec := flag.String("rules", "default", "alerting rules: a spec string, @file, \"default\" for the built-in set, or \"none\"")
 	hedgePolicy := flag.String("hedge-policy", "", "request-hedging policy for POST /experiments/run clusters, e.g. 'delay:50ms', 'p95', 'clone:2'")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "shorthand for -hedge-policy delay:<dur>")
 	drain := flag.Duration("drain-timeout", 5*time.Second, "bounded drain window for graceful shutdown on SIGINT/SIGTERM")
 	pprofOn := flag.Bool("pprof", false, "serve Go net/http/pprof profiles under /debug/pprof/")
 	version := flag.Bool("version", false, "print version and exit")
@@ -284,25 +283,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	hp, err := trenv.ParseHedgePolicy(*hedgePolicy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy:", err)
+		os.Exit(2)
+	}
 	var hedge *trenv.HedgePolicy
-	switch {
-	case *hedgePolicy != "" && *hedgeDelay != 0:
-		fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy and -hedge-delay are mutually exclusive")
-		os.Exit(2)
-	case *hedgeDelay < 0:
-		fmt.Fprintln(os.Stderr, "trenvd: -hedge-delay must be positive")
-		os.Exit(2)
-	case *hedgeDelay != 0:
-		hedge = &trenv.HedgePolicy{Mode: trenv.HedgeDelay, Delay: *hedgeDelay}
-	case *hedgePolicy != "":
-		hp, err := trenv.ParseHedgePolicy(*hedgePolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy:", err)
-			os.Exit(2)
-		}
-		if hp.Enabled() {
-			hedge = &hp
-		}
+	if hp.Enabled() {
+		hedge = &hp
 	}
 
 	s := newServerWith(serverOptions{

@@ -161,17 +161,10 @@ func (c *Cluster) deliver(node int, r faas.InvocationResult) {
 	}
 }
 
-// SetHedgePolicy arms request hedging/cloning for every invocation
-// dispatched after the call; the policy's deadline (when set) pushes
-// onto every node. Set before RunTrace.
-func (c *Cluster) SetHedgePolicy(hp HedgePolicy) {
-	c.hedge.policy = hp
-	if hp.Deadline > 0 {
-		for _, node := range c.nodes {
-			node.SetDeadline(hp.Deadline)
-		}
-	}
-}
+// SetHedgePolicy arms request hedging/cloning — and the policy's
+// per-attempt deadline, when set — for every attempt launched after the
+// call. Set before RunTrace.
+func (c *Cluster) SetHedgePolicy(hp HedgePolicy) { c.hedge.policy = hp }
 
 // HedgePolicy returns the armed policy (zero value = off).
 func (c *Cluster) HedgePolicy() HedgePolicy { return c.hedge.policy }

@@ -68,8 +68,8 @@ type HedgePolicy struct {
 	MinSamples int
 	// Clones is the total attempts HedgeClone dispatches (< 2 reads as 2).
 	Clones int
-	// Deadline, when > 0, is applied to every node as the
-	// per-invocation deadline (faas.Config.Deadline).
+	// Deadline, when > 0, bounds every attempt end-to-end from its own
+	// launch; an attempt that overruns it ends deadline-exceeded.
 	Deadline time.Duration
 }
 
@@ -119,7 +119,7 @@ func (hp HedgePolicy) Spec() string {
 //	min=<dur>           percentile mode: floor on the trigger
 //	fallback=<dur>      percentile mode: trigger before enough samples
 //	samples=<n>         percentile mode: samples the estimator needs
-//	deadline=<dur>      per-invocation deadline on every node
+//	deadline=<dur>      per-attempt deadline
 //
 // Examples: "delay:10ms", "p95,min=2ms,deadline=1s", "clone:3".
 func ParseHedgePolicy(spec string) (HedgePolicy, error) {
@@ -150,7 +150,7 @@ func ParseHedgePolicy(spec string) (HedgePolicy, error) {
 		hp.Clones = n
 	case strings.HasPrefix(mode, "p"):
 		pct, err := strconv.ParseFloat(mode[1:], 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		if err != nil || !(pct > 0 && pct < 100) { // rejects NaN too
 			return hp, fmt.Errorf("cluster: bad hedge percentile %q (want p50..p99.9)", mode)
 		}
 		hp.Mode = HedgePercentile
@@ -163,6 +163,9 @@ func ParseHedgePolicy(spec string) (HedgePolicy, error) {
 		key, val, ok := strings.Cut(clause, "=")
 		if !ok {
 			return hp, fmt.Errorf("cluster: bad hedge modifier %q (want key=value)", clause)
+		}
+		if (key == "min" || key == "fallback" || key == "samples") && hp.Mode != HedgePercentile {
+			return hp, fmt.Errorf("cluster: %s= modifier needs a p<pct> mode", key)
 		}
 		switch key {
 		case "min":
@@ -192,9 +195,6 @@ func ParseHedgePolicy(spec string) (HedgePolicy, error) {
 		default:
 			return hp, fmt.Errorf("cluster: unknown hedge modifier %q", key)
 		}
-	}
-	if hp.Mode != HedgePercentile && (hp.MinDelay > 0 || hp.MinSamples > 0) {
-		return hp, fmt.Errorf("cluster: min=/samples= modifiers need a p<pct> mode")
 	}
 	return hp, nil
 }
@@ -298,7 +298,7 @@ func (h *hedger) runOn(p *sim.Proc, g *hedgeGroup, node *faas.Platform, dispatch
 	g.tokens = append(g.tokens, tok)
 	g.attempts++
 	g.nodesTried[node.NodeName()] = true
-	node.InvokeAttempt(p, g.fn, dispatcher, tok)
+	node.InvokeAttempt(p, g.fn, dispatcher, h.policy.Deadline, tok)
 }
 
 // armHedge schedules the delayed clone: if the primary is still in

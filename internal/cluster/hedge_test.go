@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,8 +55,11 @@ func TestParseHedgePolicyRejects(t *testing.T) {
 		"p0",
 		"p100",
 		"pabc",
-		"delay:10ms,min=1ms", // min= needs percentile mode
-		"clone:2,samples=5",  // samples= needs percentile mode
+		"delay:10ms,min=1ms",      // min= needs percentile mode
+		"clone:2,samples=5",       // samples= needs percentile mode
+		"delay:10ms,fallback=5ms", // fallback= needs percentile mode
+		"clone:3,fallback=5ms",
+		"pNaN",
 		"p95,samples=0",
 		"p95,min=0s",
 		"p95,fallback=junk",
@@ -67,6 +71,39 @@ func TestParseHedgePolicyRejects(t *testing.T) {
 			t.Errorf("ParseHedgePolicy(%q) accepted, want error", spec)
 		}
 	}
+}
+
+// FuzzParseHedgePolicy: no input panics the parser, and every accepted
+// policy round-trips through its canonical Spec — parsing it back gives
+// the same policy, and no modifier the input named is lost on the way.
+func FuzzParseHedgePolicy(f *testing.F) {
+	for _, seed := range []string{
+		"", "off", "delay:10ms", "clone:3", "p95", "p99.9,min=2ms",
+		"p90,min=1ms,fallback=50ms,samples=10", "delay:10ms,deadline=1s",
+		"off,deadline=1s", "p95,min=1ms,min=2ms", "pNaN",
+		"delay:10ms,fallback=5ms", "clone:3,fallback=5ms",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		hp, err := ParseHedgePolicy(spec)
+		if err != nil {
+			return
+		}
+		canon := hp.Spec()
+		hp2, err := ParseHedgePolicy(canon)
+		if err != nil {
+			t.Fatalf("%q parsed to %+v whose Spec %q does not parse: %v", spec, hp, canon, err)
+		}
+		if hp2 != hp {
+			t.Fatalf("round trip %q -> %+v -> %q -> %+v", spec, hp, canon, hp2)
+		}
+		for _, clause := range strings.Split(spec, ",")[1:] {
+			if key, _, _ := strings.Cut(strings.TrimSpace(clause), "="); !strings.Contains(canon, ","+key+"=") {
+				t.Fatalf("%q accepted modifier %s= that its Spec %q drops", spec, key, canon)
+			}
+		}
+	})
 }
 
 // hedgeCluster builds an n-node rack with JS registered and both hooks
@@ -276,8 +313,8 @@ func TestRedispatchWithinBudgetRecovers(t *testing.T) {
 	}
 }
 
-// TestHedgeDeadlinePolicy: a policy deadline pushes onto every node;
-// an invocation that cannot meet it settles as deadline-exceeded once
+// TestHedgeDeadlinePolicy: a policy deadline bounds every attempt; an
+// invocation that cannot meet it settles as deadline-exceeded once
 // its last attempt gives up — still zero wedged.
 func TestHedgeDeadlinePolicy(t *testing.T) {
 	c, _, settled := hedgeCluster(t, 2)
@@ -301,6 +338,24 @@ func TestHedgeDeadlinePolicy(t *testing.T) {
 	}
 	if c.Wedged() != 0 {
 		t.Fatalf("wedged = %d", c.Wedged())
+	}
+}
+
+// TestHedgePolicyResetClearsDeadline: a policy reset takes its deadline
+// with it. The deadline rides on each attempt, so once the policy is
+// off nothing stale remains on the nodes to fail the next invocation.
+func TestHedgePolicyResetClearsDeadline(t *testing.T) {
+	c, _, settled := hedgeCluster(t, 2)
+	c.SetHedgePolicy(HedgePolicy{Mode: HedgeDelay, Delay: time.Millisecond, Deadline: time.Microsecond})
+	c.SetHedgePolicy(HedgePolicy{Mode: HedgeOff})
+	c.Invoke(0, "JS")
+	c.Engine().Run()
+
+	if got := c.HedgePolicy().Spec(); got != "off" {
+		t.Fatalf("policy = %q, want off", got)
+	}
+	if len(*settled) != 1 || (*settled)[0].Outcome != faas.OutcomeSuccess {
+		t.Fatalf("settled = %+v, want one success (no stale deadline)", *settled)
 	}
 }
 

@@ -150,11 +150,6 @@ type Config struct {
 	// per rack and templates resolve machine-independent offsets.
 	SharedStore *snapshot.Store
 
-	// Deadline, when > 0, bounds each invocation end-to-end from
-	// arrival: an attempt that overruns it terminates with
-	// OutcomeDeadline at its next checkpoint instead of completing.
-	Deadline time.Duration
-
 	// DisableFallback turns off graceful degradation: a restore whose
 	// pool is inside an injected outage window fails the invocation
 	// instead of falling back to a local cold start. The availability
@@ -227,14 +222,6 @@ type Platform struct {
 	// identity is deterministic (hash of node, function, sequence).
 	nodeName string
 	invSeq   int64
-	// pendingDispatch carries the dispatcher label from
-	// InvokeDispatched to the next invoke() entry (consumed before any
-	// simulated wait, so concurrent invocations cannot observe it).
-	pendingDispatch string
-	// pendingToken carries the dispatcher's cancellation token from
-	// InvokeAttempt to the next invoke() entry, same contract as
-	// pendingDispatch.
-	pendingToken *CancelToken
 
 	// Per-function admission control (MaxPerFunction).
 	running map[string]int
@@ -750,27 +737,6 @@ func (pl *Platform) leave(name string) {
 	}
 }
 
-// failInvocation counts a failed invocation and, when tracing, records
-// an error-status span covering [t0, now].
-func (pl *Platform) failInvocation(traceID, name string, t0, now time.Duration, err error) {
-	pl.metrics.Errors.Inc()
-	if pl.tracer == nil {
-		return
-	}
-	sp := obs.NewSpan("invoke/"+name, t0, now)
-	sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).SetAttr("node", pl.nodeName)
-	if t := errType(err); t != "" {
-		sp.SetAttr("error_type", t)
-	}
-	if ft := faultTraceOf(err); ft != "" {
-		// Walkable back to the injected fault that caused the failure.
-		sp.AddLink(obs.Link{TraceID: ft, Type: "caused-by"})
-	}
-	sp.Fail(err)
-	sp.AssignIDs(traceID)
-	pl.tracer.Record(sp)
-}
-
 // poolByKind maps a pool-kind label back to the platform's pool.
 func (pl *Platform) poolByKind(kind string) *mem.Pool {
 	for _, pool := range []*mem.Pool{pl.cxl, pl.rdma, pl.tmpfs} {
@@ -805,62 +771,46 @@ func (pl *Platform) emitPoolFetch(target *obs.Span, fn, kind, site string, seq i
 	pl.tracer.Record(ps)
 }
 
-// invoke is the full lifecycle of one invocation.
-func (pl *Platform) invoke(p *sim.Proc, name string) {
+// invoke is the full lifecycle of one attempt at an invocation of
+// name. dispatcher labels the cluster placement that chose this node
+// ("" for a standalone invocation), deadline bounds the attempt
+// end-to-end from its arrival (0 = unbounded), and tok lets the
+// dispatcher cancel it (nil = never).
+func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, deadline time.Duration, tok *CancelToken) {
 	tArrive := p.Now()
-	dispatcher := pl.pendingDispatch
-	pl.pendingDispatch = ""
-	tok := pl.pendingToken
-	pl.pendingToken = nil
 	seq := pl.invSeq
 	pl.invSeq++
 	// Trace identity is a hash of (node, function, sequence): no
 	// randomness, no wall clock, so same-seed runs reproduce it.
 	traceID := obs.TraceIDFor(pl.nodeName, name, strconv.FormatInt(seq, 10))
 	tok.setTrace(traceID)
-	// An attempt's absolute deadline, or 0 when unbounded. Checked at
-	// the same checkpoints as pl.crashed — cancellation and deadlines
-	// are cooperative, never preemptive.
-	var deadline time.Duration
-	if pl.cfg.Deadline > 0 {
-		deadline = tArrive + pl.cfg.Deadline
-	}
 	// Every invocation terminates in exactly one outcome, delivered to
 	// OnResult on every exit path — nothing is silently lost.
-	res := InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID, Outcome: OutcomeError, Token: tok}
+	a := attempt{
+		res:      InvocationResult{Function: name, Node: pl.nodeName, TraceID: traceID, Outcome: OutcomeError, Token: tok},
+		tArrive:  tArrive,
+		deadline: deadline,
+	}
 	defer func() {
 		if pl.cfg.OnResult != nil {
-			pl.cfg.OnResult(res)
+			pl.cfg.OnResult(a.res)
 		}
 	}()
 	fn, ok := pl.fns[name]
 	if !ok {
-		res.Err = fmt.Errorf("function %q not registered", name)
-		pl.failInvocation(traceID, name, tArrive, p.Now(), res.Err)
+		pl.fail(p, &a, fmt.Errorf("function %q not registered", name))
 		return
 	}
-	if pl.crashed {
-		pl.abortCrashed(&res, traceID, name, tArrive, nil)
-		return
-	}
-	if tok.Cancelled() {
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, nil)
+	if err := pl.checkpoint(p, &a); err != nil {
+		pl.fail(p, &a, err)
 		return
 	}
 	pl.active++
 	defer func() { pl.active-- }()
 	pl.admit(p, name)
 	defer pl.leave(name)
-	if pl.crashed {
-		pl.abortCrashed(&res, traceID, name, tArrive, nil)
-		return
-	}
-	if tok.Cancelled() {
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, nil)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		pl.abortDeadline(&res, traceID, name, tArrive, nil)
+	if err := pl.checkpoint(p, &a); err != nil {
+		pl.fail(p, &a, err)
 		return
 	}
 	// Metrics measure e2e from admission (matching the per-function
@@ -883,68 +833,46 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 		in, st, err = pl.start(p, fn)
 		if err != nil {
 			var pu *mem.ErrPoolUnavailable
-			if errors.As(err, &pu) && !pl.cfg.DisableFallback && pl.cfg.Policy != PolicyFaasd {
-				// Graceful degradation: the restore source is inside an
-				// injected outage window. Build the instance from scratch
-				// locally instead of wedging — slower, but available.
-				fallbackAt = p.Now()
-				in, st, err = pl.rt.StartCold(p, fn.Profile, fn.Snap)
-				if err != nil {
-					res.Err = err
-					pl.failInvocation(traceID, name, tArrive, p.Now(),
-						fmt.Errorf("fallback cold start also failed: %w", err))
-					return
-				}
-				st.Path = core.PathFallback
-				in.Path = core.PathFallback
-				fellBack = true
-				fallbackCause = pu
-				res.FaultTrace = pu.FaultTrace
-				pl.metrics.Fallbacks.Inc()
-			} else {
-				res.Err = err
-				res.FaultTrace = faultTraceOf(err)
-				pl.failInvocation(traceID, name, tArrive, p.Now(), err)
+			if !errors.As(err, &pu) || pl.cfg.DisableFallback || pl.cfg.Policy == PolicyFaasd {
+				pl.fail(p, &a, err)
 				return
 			}
+			// Graceful degradation: the restore source is inside an
+			// injected outage window. Build the instance from scratch
+			// locally instead of wedging — slower, but available.
+			fallbackAt = p.Now()
+			in, st, err = pl.rt.StartCold(p, fn.Profile, fn.Snap)
+			if err != nil {
+				// Both errors stay on the chain, so the result and the
+				// error span still name the outage that forced the
+				// fallback.
+				pl.fail(p, &a, fmt.Errorf("fallback cold start also failed: %w (restore: %w)", err, pu))
+				return
+			}
+			st.Path = core.PathFallback
+			in.Path = core.PathFallback
+			fellBack = true
+			fallbackCause = pu
+			a.res.FaultTrace = pu.FaultTrace
+			pl.metrics.Fallbacks.Inc()
 		}
 	}
+	a.in = in
 	// A recording first run publishes its working-set log only if the
-	// invocation completes: Seal on success, abandon on failure so a
-	// later first run can re-record a full fault order.
-	finishRecording := func(ok bool) {
-		if st.Prefetch == nil || !st.Prefetch.Recording || fn.Img == nil || fn.Img.WSLog == nil {
-			return
-		}
-		if ok {
-			fn.Img.WSLog.Seal()
-		} else {
-			fn.Img.WSLog.AbortRecording()
-		}
+	// invocation completes: Seal on success, abandon on failure (in
+	// fail) so a later first run can re-record a full fault order.
+	if st.Prefetch != nil && st.Prefetch.Recording && fn.Img != nil {
+		a.rec = fn.Img.WSLog
 	}
-	if pl.crashed {
-		finishRecording(false)
-		pl.abortCrashed(&res, traceID, name, tArrive, in)
-		return
-	}
-	if tok.Cancelled() {
-		finishRecording(false)
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, in)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		finishRecording(false)
-		pl.abortDeadline(&res, traceID, name, tArrive, in)
+	if err := pl.checkpoint(p, &a); err != nil {
+		pl.fail(p, &a, err)
 		return
 	}
 	tUp := p.Now() // startup complete
 	if pl.cfg.PromoteHotAfter > 0 && in.Uses >= pl.cfg.PromoteHotAfter {
 		promoted, err := pl.rt.PromoteWorkingSet(in)
 		if err != nil {
-			finishRecording(false)
-			res.Err = err
-			pl.failInvocation(traceID, name, tArrive, p.Now(), err)
-			pl.release(p, in)
+			pl.fail(p, &a, err)
 			return
 		}
 		if promoted > 0 {
@@ -957,48 +885,33 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 		CPU:             pl.cpu,
 		ContentionPools: pl.contentionPools(),
 	})
-	res.Retries += es.Retries
-	if res.FaultTrace == "" {
-		res.FaultTrace = es.FaultTrace
+	a.res.Retries += es.Retries
+	if a.res.FaultTrace == "" {
+		a.res.FaultTrace = es.FaultTrace
 	}
 	if es.Retries > 0 {
 		pl.metrics.Retries.IncBy(int64(es.Retries))
 	}
 	if err != nil {
-		finishRecording(false)
-		res.Err = err
-		if res.FaultTrace == "" {
-			res.FaultTrace = faultTraceOf(err)
-		}
-		pl.failInvocation(traceID, name, tArrive, p.Now(), err)
-		pl.release(p, in)
+		pl.fail(p, &a, err)
 		return
 	}
-	if pl.crashed {
-		finishRecording(false)
-		pl.abortCrashed(&res, traceID, name, tArrive, in)
-		return
-	}
-	if tok.Cancelled() {
-		finishRecording(false)
-		pl.abortCancelled(&res, tok, traceID, name, tArrive, in)
-		return
-	}
-	if deadline > 0 && p.Now() > deadline {
-		finishRecording(false)
-		pl.abortDeadline(&res, traceID, name, tArrive, in)
+	if err := pl.checkpoint(p, &a); err != nil {
+		pl.fail(p, &a, err)
 		return
 	}
 	tEnd := p.Now()
 	in.LastTraceID = traceID
-	res.Outcome = OutcomeSuccess
+	a.res.Outcome = OutcomeSuccess
 	if fellBack {
-		res.Outcome = OutcomeFallback
+		a.res.Outcome = OutcomeFallback
 	}
-	res.Startup = st.Total()
-	res.FetchLat = es.FetchLat
-	res.PrefetchWait = es.PrefetchWait
-	finishRecording(true)
+	a.res.Startup = st.Total()
+	a.res.FetchLat = es.FetchLat
+	a.res.PrefetchWait = es.PrefetchWait
+	if a.rec != nil {
+		a.rec.Seal()
+	}
 	if st.Prefetch != nil {
 		if st.Prefetch.Recording {
 			pl.metrics.PrefetchRecordings.Inc()
@@ -1156,22 +1069,10 @@ func (pl *Platform) invoke(p *sim.Proc, name string) {
 	pl.parkWarm(in)
 }
 
-// Invoke schedules one invocation at virtual time at.
+// Invoke schedules one standalone invocation at virtual time at: no
+// dispatcher, no deadline, no cancellation.
 func (pl *Platform) Invoke(at time.Duration, function string) {
-	pl.eng.At(at, "invoke", function, func(p *sim.Proc) { pl.invoke(p, function) })
-}
-
-// InvokeNow runs one invocation inside the calling simulated process —
-// the cluster dispatcher uses this after picking a node at arrival time.
-func (pl *Platform) InvokeNow(p *sim.Proc, function string) { pl.invoke(p, function) }
-
-// InvokeDispatched is InvokeNow with the dispatcher's name stamped on
-// the invocation's root span (a zero-width "pick" step plus a
-// dispatcher= attribute), so a cluster trace shows where placement
-// happened before the node-local phases.
-func (pl *Platform) InvokeDispatched(p *sim.Proc, function, dispatcher string) {
-	pl.pendingDispatch = dispatcher
-	pl.invoke(p, function)
+	pl.eng.At(at, "invoke", function, func(p *sim.Proc) { pl.invoke(p, function, "", 0, nil) })
 }
 
 // startSampler records node DRAM usage once per sampleStep until the

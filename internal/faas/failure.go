@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/pagetable"
+	"repro/internal/sim"
 )
 
 // Outcome is how an invocation terminated. Every invocation ends in
@@ -102,25 +104,96 @@ func (pl *Platform) AttachFaults(agent mem.FaultAgent) {
 	}
 }
 
-// abortCrashed terminates an in-flight invocation whose node died under
-// it: the held instance's accounting is unwound and the outcome is
-// OutcomeCrashed — counted separately from application errors, never
-// silently completed. Clusters re-dispatch these to survivors.
-func (pl *Platform) abortCrashed(res *InvocationResult, traceID, name string, t0 time.Duration, in *core.Instance) {
-	if in != nil {
-		pl.rt.ReleaseCrashed(in)
+// attempt is one invocation attempt's in-flight state: the result it
+// will deliver, the inputs its checkpoints test, and what fail must
+// unwind.
+type attempt struct {
+	res      InvocationResult
+	tArrive  time.Duration
+	deadline time.Duration // from tArrive; 0 = unbounded
+	in       *core.Instance
+	// rec is the working-set log this attempt is recording (nil when
+	// it records none).
+	rec *pagetable.WorkingSetLog
+}
+
+// checkpoint returns why the attempt must stop here — its node crashed
+// (*ErrNodeDown), its dispatcher cancelled it (*ErrCancelled) or it
+// overran its deadline (*ErrDeadlineExceeded) — or nil. All three are
+// cooperative, never preemptive: an attempt observes them only at its
+// checkpoints.
+func (pl *Platform) checkpoint(p *sim.Proc, a *attempt) error {
+	tok := a.res.Token
+	switch {
+	case pl.crashed:
+		return &ErrNodeDown{Node: pl.nodeName}
+	case tok.Cancelled():
+		return &ErrCancelled{Reason: tok.reason, Winner: tok.winner}
+	case a.deadline > 0 && p.Now() > a.tArrive+a.deadline:
+		return &ErrDeadlineExceeded{Function: a.res.Function, Deadline: a.deadline}
 	}
-	err := &ErrNodeDown{Node: pl.nodeName}
-	res.Outcome = OutcomeCrashed
-	res.Err = err
-	pl.metrics.CrashAborts.Inc()
+	return nil
+}
+
+// fail ends an attempt that will not complete, on every non-success
+// exit. It abandons the working-set log the attempt was recording,
+// sets the outcome and bumps the counter err's type names, records the
+// error span — linked hedge-lost to a cancel's winner and caused-by to
+// an injected fault — and unwinds the held instance: an abort (crash,
+// cancel, deadline) releases it crash-style at no simulated cost, since
+// nothing useful runs on it any more; an error tears it down normally.
+func (pl *Platform) fail(p *sim.Proc, a *attempt, err error) {
+	if a.rec != nil {
+		a.rec.AbortRecording()
+	}
+	a.res.Err = err
+	cancel, _ := err.(*ErrCancelled)
+	var ft string // aborts never carry an injected fault
+	switch err.(type) {
+	case *ErrNodeDown:
+		a.res.Outcome = OutcomeCrashed
+		pl.metrics.CrashAborts.Inc()
+	case *ErrCancelled:
+		a.res.Outcome = OutcomeCancelled
+		pl.metrics.Cancelled.Inc()
+	case *ErrDeadlineExceeded:
+		a.res.Outcome = OutcomeDeadline
+		pl.metrics.DeadlineExceeded.Inc()
+	default:
+		pl.metrics.Errors.Inc()
+		ft = faultTraceOf(err)
+		if a.res.FaultTrace == "" {
+			a.res.FaultTrace = ft
+		}
+	}
 	if pl.tracer != nil {
-		sp := obs.NewSpan("invoke/"+name, t0, pl.eng.Now())
-		sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).
-			SetAttr("node", pl.nodeName).SetAttr("error_type", "node-down")
+		name := a.res.Function
+		sp := obs.NewSpan("invoke/"+name, a.tArrive, p.Now())
+		sp.SetAttr("function", name).SetAttr("policy", string(pl.cfg.Policy)).SetAttr("node", pl.nodeName)
+		if t := errType(err); t != "" {
+			sp.SetAttr("error_type", t)
+		}
+		if cancel != nil {
+			sp.SetAttr("cancel_reason", cancel.Reason)
+			if cancel.Winner != "" {
+				// The race is walkable loser → winner.
+				sp.AddLink(obs.Link{TraceID: cancel.Winner, Type: "hedge-lost"})
+			}
+		}
+		if ft != "" {
+			// Walkable back to the injected fault that caused the failure.
+			sp.AddLink(obs.Link{TraceID: ft, Type: "caused-by"})
+		}
 		sp.Fail(err)
-		sp.AssignIDs(traceID)
+		sp.AssignIDs(a.res.TraceID)
 		pl.tracer.Record(sp)
+	}
+	switch {
+	case a.in == nil:
+	case a.res.Outcome == OutcomeError:
+		pl.release(p, a.in)
+	default:
+		pl.rt.ReleaseCrashed(a.in)
 	}
 }
 

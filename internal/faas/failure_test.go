@@ -2,11 +2,13 @@ package faas
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -142,5 +144,48 @@ func TestCrashAbortsDeliverOutcome(t *testing.T) {
 	pl.Engine().Run()
 	if last := results[len(results)-1]; last.Outcome != OutcomeCrashed {
 		t.Fatalf("post-crash invoke outcome %q, want %q", last.Outcome, OutcomeCrashed)
+	}
+}
+
+// TestFailedFallbackKeepsOutageCause: when the local cold start that
+// stands in for an unavailable restore fails too, the error outcome
+// still names the outage — the result's FaultTrace and a caused-by link
+// on the error span — and both typed errors stay on the chain.
+func TestFailedFallbackKeepsOutageCause(t *testing.T) {
+	tracer := obs.NewTracer(0)
+	pl, results := outagePlatform(t, func(cfg *Config) { cfg.Tracer = tracer })
+	// A node too small for JS's cold image: the fallback's bootstrap
+	// cannot allocate it.
+	tiny := mem.NewTracker("node-dram", 1<<20)
+	pl.node, pl.rt.Tracker = tiny, tiny
+	pl.Invoke(0, "JS")
+	pl.Engine().Run()
+
+	m := pl.Metrics()
+	if m.Errors.Value() != 1 || m.Fallbacks.Value() != 0 {
+		t.Fatalf("errors=%d fallbacks=%d, want 1/0", m.Errors.Value(), m.Fallbacks.Value())
+	}
+	if len(*results) != 1 || (*results)[0].Outcome != OutcomeError {
+		t.Fatalf("results = %+v, want one error outcome", *results)
+	}
+	r := (*results)[0]
+	var pu *mem.ErrPoolUnavailable
+	var nm *mem.ErrNoMemory
+	if !errors.As(r.Err, &pu) || !errors.As(r.Err, &nm) {
+		t.Fatalf("error %v, want both the pool outage and the cold start's no-memory on its chain", r.Err)
+	}
+	if pu.FaultTrace == "" || r.FaultTrace != pu.FaultTrace {
+		t.Fatalf("result FaultTrace %q, want the outage's %q", r.FaultTrace, pu.FaultTrace)
+	}
+	sp := tracer.Find(r.TraceID)
+	if sp == nil {
+		t.Fatal("no error span recorded")
+	}
+	if got := sp.Attrs["error_type"]; got != "no-memory" {
+		t.Errorf("error_type = %q, want no-memory (the failure that ended the attempt)", got)
+	}
+	want := []obs.Link{{TraceID: pu.FaultTrace, Type: "caused-by"}}
+	if !reflect.DeepEqual(sp.Links, want) {
+		t.Errorf("error span links %+v, want %+v", sp.Links, want)
 	}
 }

@@ -11,15 +11,12 @@ import (
 
 // hedgePlatform builds a TrEnv-CXL platform with every Table 4 function
 // registered, capturing terminal outcomes.
-func hedgePlatform(t *testing.T, tweak func(*Config)) (*Platform, *[]InvocationResult) {
+func hedgePlatform(t *testing.T) (*Platform, *[]InvocationResult) {
 	t.Helper()
 	results := new([]InvocationResult)
 	cfg := DefaultConfig(PolicyTrEnvCXL)
 	cfg.Node = "n0"
 	cfg.OnResult = func(r InvocationResult) { *results = append(*results, r) }
-	if tweak != nil {
-		tweak(&cfg)
-	}
 	pl := New(cfg)
 	for _, p := range workload.Table4() {
 		if err := pl.Register(p); err != nil {
@@ -34,11 +31,11 @@ func hedgePlatform(t *testing.T, tweak func(*Config)) (*Platform, *[]InvocationR
 // and unwinds its instance accounting completely — no memory stays
 // charged, unlike a successful invocation whose warm instance lingers.
 func TestCancelledAttemptReleasesAccounting(t *testing.T) {
-	pl, results := hedgePlatform(t, nil)
+	pl, results := hedgePlatform(t)
 	before := pl.UsedMemory()
 	tok := NewCancelToken("race")
 	pl.Engine().At(0, "dispatch", "JS", func(p *sim.Proc) {
-		pl.InvokeAttempt(p, "JS", "test", tok)
+		pl.InvokeAttempt(p, "JS", "test", 0, tok)
 	})
 	// JS executes for ~100ms; 10ms lands mid-exec, after the instance
 	// was admitted and started.
@@ -76,11 +73,11 @@ func TestCancelledAttemptReleasesAccounting(t *testing.T) {
 // the attempt reaches the platform aborts at the first checkpoint —
 // before any instance exists — still delivering a terminal outcome.
 func TestPreCancelledAttemptAbortsAtAdmission(t *testing.T) {
-	pl, results := hedgePlatform(t, nil)
+	pl, results := hedgePlatform(t)
 	tok := NewCancelToken(nil)
 	tok.Cancel("hedge-lost", "")
 	pl.Engine().At(0, "dispatch", "JS", func(p *sim.Proc) {
-		pl.InvokeAttempt(p, "JS", "test", tok)
+		pl.InvokeAttempt(p, "JS", "test", 0, tok)
 	})
 	pl.Engine().Run()
 
@@ -95,13 +92,20 @@ func TestPreCancelledAttemptAbortsAtAdmission(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded: an invocation that outlives Config.Deadline is
+// invokeWithDeadline runs one attempt of fn at time 0 with a deadline.
+func invokeWithDeadline(pl *Platform, fn string, deadline time.Duration) {
+	pl.Engine().At(0, "dispatch", fn, func(p *sim.Proc) {
+		pl.InvokeAttempt(p, fn, "", deadline, nil)
+	})
+	pl.Engine().Run()
+}
+
+// TestDeadlineExceeded: an attempt that outlives its deadline is
 // abandoned at a checkpoint with OutcomeDeadline and a typed error; a
 // generous deadline leaves the same invocation untouched.
 func TestDeadlineExceeded(t *testing.T) {
-	pl, results := hedgePlatform(t, func(cfg *Config) { cfg.Deadline = time.Millisecond })
-	pl.Invoke(0, "JS") // JS runs ~100ms, far past the 1ms deadline
-	pl.Engine().Run()
+	pl, results := hedgePlatform(t)
+	invokeWithDeadline(pl, "JS", time.Millisecond) // JS runs ~100ms, far past the 1ms deadline
 
 	if len(*results) != 1 {
 		t.Fatalf("results = %d, want 1", len(*results))
@@ -126,9 +130,8 @@ func TestDeadlineExceeded(t *testing.T) {
 // latency the outcome is plain success and nothing is charged to the
 // deadline counter.
 func TestDeadlineMet(t *testing.T) {
-	pl, results := hedgePlatform(t, func(cfg *Config) { cfg.Deadline = time.Hour })
-	pl.Invoke(0, "JS")
-	pl.Engine().Run()
+	pl, results := hedgePlatform(t)
+	invokeWithDeadline(pl, "JS", time.Hour)
 
 	if len(*results) != 1 || (*results)[0].Outcome != OutcomeSuccess {
 		t.Fatalf("results = %+v, want one success", *results)

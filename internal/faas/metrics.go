@@ -42,7 +42,7 @@ type Metrics struct {
 	Retries          sim.Counter // fetch attempts replayed after injected faults
 	CrashAborts      sim.Counter // invocations aborted by a node crash (re-dispatchable)
 	Cancelled        sim.Counter // attempts cooperatively cancelled (hedge losers)
-	DeadlineExceeded sim.Counter // attempts abandoned past Config.Deadline
+	DeadlineExceeded sim.Counter // attempts abandoned past their deadline
 
 	// Working-set prefetching (Config.Prefetch). Hits are demand
 	// accesses a batch had covered; Misses are demand fetches the replay
