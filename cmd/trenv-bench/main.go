@@ -118,7 +118,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trenv-bench: -hedge: %v\n", err)
 			os.Exit(2)
 		}
-		if hp.Enabled() {
+		// A bare "off" arms nothing; "off,deadline=<dur>" still
+		// bounds every attempt.
+		if hp != (trenv.HedgePolicy{Mode: trenv.HedgeOff}) {
 			o.Hedge = &hp
 		}
 	}

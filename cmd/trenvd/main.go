@@ -107,6 +107,17 @@ type server struct {
 	hedge    *trenv.HedgePolicy    // armed on every cluster POST /experiments/run builds
 }
 
+// hedgeFlag parses -hedge-policy. Every policy but a bare "off" is
+// armed: "off,deadline=<dur>" launches no clones but still bounds each
+// attempt.
+func hedgeFlag(spec string) (*trenv.HedgePolicy, error) {
+	hp, err := trenv.ParseHedgePolicy(spec)
+	if err != nil || hp == (trenv.HedgePolicy{Mode: trenv.HedgeOff}) {
+		return nil, err
+	}
+	return &hp, nil
+}
+
 // serverOptions parameterize the control plane beyond policy and seed.
 type serverOptions struct {
 	policy       trenv.ContainerPolicy
@@ -283,14 +294,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	hp, err := trenv.ParseHedgePolicy(*hedgePolicy)
+	hedge, err := hedgeFlag(*hedgePolicy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trenvd: -hedge-policy:", err)
 		os.Exit(2)
-	}
-	var hedge *trenv.HedgePolicy
-	if hp.Enabled() {
-		hedge = &hp
 	}
 
 	s := newServerWith(serverOptions{
@@ -768,6 +775,10 @@ func (s *server) armChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	if sc.Empty() {
 		httpError(w, http.StatusBadRequest, "empty fault scenario")
+		return
+	}
+	if err := sc.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "bad scenario: %v", err)
 		return
 	}
 	seed := req.Seed

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	trenv "repro"
 )
@@ -156,5 +157,78 @@ func TestBadJSONRejected(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad json status = %d", resp.StatusCode)
+	}
+}
+
+// TestHedgeFlagArmsDeadlineOnlyPolicy: -hedge-policy 'off,deadline=1us'
+// launches no clones but reaches the cluster, where every attempt ends
+// deadline-exceeded; a bare "off" arms nothing.
+func TestHedgeFlagArmsDeadlineOnlyPolicy(t *testing.T) {
+	if hp, err := hedgeFlag("off"); err != nil || hp != nil {
+		t.Fatalf("bare off = %+v, %v; want nothing armed", hp, err)
+	}
+	hp, err := hedgeFlag("off,deadline=1us")
+	if err != nil || hp == nil {
+		t.Fatalf("off,deadline=1us = %+v, %v; want an armed policy", hp, err)
+	}
+	c, err := trenv.NewCluster(2, trenv.DefaultContainerConfig(trenv.TrEnvCXL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range trenv.Functions() {
+		if err := c.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetHedgePolicy(*hp)
+	var settled []trenv.InvocationResult
+	c.SetSettleHook(func(_ string, _ time.Duration, r trenv.InvocationResult) { settled = append(settled, r) })
+	c.Invoke(0, "JS")
+	c.Invoke(time.Second, "JS")
+	c.Engine().Run()
+	if len(settled) != 2 {
+		t.Fatalf("settled %d invocations, want 2", len(settled))
+	}
+	for _, r := range settled {
+		if r.Outcome != trenv.OutcomeDeadlineExceeded {
+			t.Fatalf("outcome %q, want %q", r.Outcome, trenv.OutcomeDeadlineExceeded)
+		}
+	}
+}
+
+// TestChaosRejectsInvalidScenario: a JSON scenario gets every check a
+// spec does. An inverted outage window and a flap count just over the
+// cap are refused with 400 before anything is attached, so the server
+// stays unarmed and a later valid schedule still arms.
+func TestChaosRejectsInvalidScenario(t *testing.T) {
+	ts := testServer(t)
+	for name, body := range map[string]map[string]any{
+		"inverted window": {"scenario": map[string]any{
+			"pool_outages": []map[string]any{{"pool": "cxl", "from": int64(2 * time.Second), "to": int64(time.Second)}},
+		}},
+		"flap count over cap": {"scenario": map[string]any{
+			"link_flaps": []map[string]any{{"pool": "cxl", "period": int64(time.Second), "down": int64(time.Millisecond), "count": 10001}},
+		}},
+		"flap spec over cap": {"spec": "flap:cxl:1s/1ms:x10001"},
+	} {
+		resp, out := postJSON(t, ts.URL+"/chaos", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%v), want 400", name, resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st trenv.ChaosStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Armed {
+		t.Fatalf("GET /chaos = %+v after rejected scenarios, want unarmed", st)
+	}
+	if resp, out := postJSON(t, ts.URL+"/chaos", map[string]any{"spec": "outage:cxl:1s-2s"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid spec after rejections: status %d (%v), want 201", resp.StatusCode, out)
 	}
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	trenv "repro"
@@ -43,20 +45,30 @@ func main() {
 			float64(cxl)/(1<<30), float64(rdma)/(1<<30))
 	}
 
-	// Part 2: the tier manager — blocks earn CXL residency by access
-	// frequency under a byte budget.
-	fmt.Println("\ntier manager (40 MB hot budget, blocks promoted by heat):")
+	if err := tierManager(os.Stdout); err != nil {
+		panic(err)
+	}
+}
+
+// tierManager is Part 2: blocks earn CXL residency by access frequency
+// under a byte budget. Blocks are placed and printed in a fixed order,
+// so the output is the same on every run.
+func tierManager(w io.Writer) error {
+	fmt.Fprintln(w, "\ntier manager (40 MB hot budget, blocks promoted by heat):")
 	lat := mem.DefaultLatencyModel()
 	hot := mem.NewPool(mem.CXL, 0, lat)
 	cold := mem.NewPool(mem.RDMA, 0, lat)
 	m, err := mem.NewTierManager(hot, cold, 40<<20)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	blocks := map[string]int{"python-runtime": 4500, "numpy": 3000, "rarely-used-lib": 6000}
-	for k, pages := range blocks {
-		if err := m.Place(k, pages); err != nil {
-			panic(err)
+	blocks := []struct {
+		name  string
+		pages int
+	}{{"python-runtime", 4500}, {"numpy", 3000}, {"rarely-used-lib", 6000}}
+	for _, b := range blocks {
+		if err := m.Place(b.name, b.pages); err != nil {
+			return err
 		}
 	}
 	m.RecordAccess("python-runtime", 500) // every invocation touches it
@@ -64,11 +76,12 @@ func main() {
 	m.RecordAccess("rarely-used-lib", 3)
 	copyTime, err := m.Rebalance(1 << 30)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	for k := range blocks {
-		tier, _ := m.TierOf(k)
-		fmt.Printf("  %-16s -> %s\n", k, tier)
+	for _, b := range blocks {
+		tier, _ := m.TierOf(b.name)
+		fmt.Fprintf(w, "  %-16s -> %s\n", b.name, tier)
 	}
-	fmt.Printf("  rebalance moved data in %v (off the critical path)\n", copyTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "  rebalance moved data in %v (off the critical path)\n", copyTime.Round(time.Millisecond))
+	return nil
 }

@@ -199,11 +199,10 @@ const defaultWorst = 3
 // Engines are not safe for concurrent use; callers serialize Eval and
 // the exports the same way they serialize the recorder.
 type Engine struct {
-	states   []*ruleState
-	rec      *obs.Recorder
-	slos     []*obs.SLOTracker
-	tracer   *obs.Tracer
-	lookback time.Duration
+	states []*ruleState
+	rec    *obs.Recorder
+	slos   []*obs.SLOTracker
+	tracer *obs.Tracer
 
 	evals    int64
 	lastEval time.Duration
@@ -218,7 +217,7 @@ type Engine struct {
 // ParseSpec rejects them first, so a panic here means a literal rule
 // slice was built wrong.
 func New(rules []Rule) *Engine {
-	e := &Engine{lookback: DefaultLookback}
+	e := &Engine{}
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
 		if r.Name == "" {
@@ -254,14 +253,6 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 func (e *Engine) AddSLO(t *obs.SLOTracker) {
 	if t != nil {
 		e.slos = append(e.slos, t)
-	}
-}
-
-// SetLookback overrides the incident capture-window padding
-// (DefaultLookback when never called; d <= 0 keeps the default).
-func (e *Engine) SetLookback(d time.Duration) {
-	if d > 0 {
-		e.lookback = d
 	}
 }
 

@@ -64,7 +64,7 @@ func (e *Engine) captureIncident(st *ruleState, now time.Duration) *Incident {
 		PendingMS: durMS(st.pendAt),
 		FiringMS:  durMS(now),
 	}
-	from := st.pendAt - e.lookback
+	from := st.pendAt - DefaultLookback
 	if from < 0 {
 		from = 0
 	}

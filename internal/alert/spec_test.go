@@ -66,6 +66,38 @@ func TestSpecRoundTrips(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec: no input panics the parser, and every accepted rule's
+// canonical Spec parses back to exactly one rule with the same Spec.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(`threshold:hot:g{node=n0,pool=cxl}:>=5:for=2s,` +
+		`rate:errs:trenv_errors_total:>0.5:over=10s:for=1s,` +
+		`burn:slo:IR:1m@14x|5m@2x:for=30s,` +
+		`absence:pulse:trenv_invocations_total:30s`)
+	for _, r := range DefaultRules() {
+		f.Add(r.Spec())
+	}
+	f.Add("threshold:sel:g{node=n1,pool=rdma}:<0.25")
+	f.Add(" , threshold:a:g:>1 , ")
+	f.Add("burn:a:*:1m@0x")
+	f.Add("threshold:a:g:>1:for=-2s")
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			canon := r.Spec()
+			again, err := ParseSpec(canon)
+			if err != nil {
+				t.Fatalf("%q: rule %q renders %q, which does not parse: %v", spec, r.Name, canon, err)
+			}
+			if len(again) != 1 || again[0].Spec() != canon {
+				t.Fatalf("%q: rule %q renders %q, which parses to %+v", spec, r.Name, canon, again)
+			}
+		}
+	})
+}
+
 func TestParseSpecErrors(t *testing.T) {
 	cases := []struct {
 		spec, wantErr string

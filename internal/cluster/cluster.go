@@ -112,7 +112,7 @@ func build(racks, perRack int, cfg faas.Config) (*Cluster, error) {
 		c.fabric.SetHome("fabric")
 	}
 	for r := 0; r < racks; r++ {
-		rk := &rack{cxl: mem.NewPool(mem.CXL, cfg.CXLCapacity, lat), first: len(c.nodes)}
+		rk := &rack{cxl: mem.NewPool(mem.CXL, 0, lat), first: len(c.nodes)}
 		// The shared pool lives on the rack's memory server, not on any
 		// compute node — remote-fetch spans report it as their home.
 		if racks == 1 {

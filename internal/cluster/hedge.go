@@ -73,9 +73,6 @@ type HedgePolicy struct {
 	Deadline time.Duration
 }
 
-// Enabled reports whether the policy launches extra attempts.
-func (hp HedgePolicy) Enabled() bool { return hp.Mode != "" && hp.Mode != HedgeOff }
-
 // Spec renders the policy in the grammar ParseHedgePolicy accepts.
 func (hp HedgePolicy) Spec() string {
 	var b strings.Builder

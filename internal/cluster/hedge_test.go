@@ -38,7 +38,7 @@ func TestParseHedgePolicyRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q -> %+v -> %q -> %+v", spec, hp, hp.Spec(), hp2)
 		}
 	}
-	if hp, err := ParseHedgePolicy(""); err != nil || hp.Enabled() {
+	if hp, err := ParseHedgePolicy(""); err != nil || hp != (HedgePolicy{Mode: HedgeOff}) {
 		t.Fatalf("empty spec = %+v, %v; want disabled policy", hp, err)
 	}
 }

@@ -73,8 +73,6 @@ type Config struct {
 	SoftMemCap int64
 	// KeepAlive is the idle retention window (the paper uses 10 min).
 	KeepAlive time.Duration
-	// WarmReuse is the dispatch cost of reusing a kept-alive instance.
-	WarmReuse time.Duration
 	// Warmup excludes invocations arriving before this time from the
 	// metrics (the paper warms every system up for ~5 minutes).
 	Warmup time.Duration
@@ -96,17 +94,11 @@ type Config struct {
 	// internal/prefetch). Same-seed runs stay byte-identical with the
 	// flag on.
 	Prefetch bool
-	// PrefetchBatchPages caps pages per batched fetch (0 =
-	// prefetch.DefaultBatchPages).
-	PrefetchBatchPages int
 	// PromoteThreshold, with Prefetch, promotes a recorded run into the
 	// node's direct-access promotion cache once its cross-invocation
 	// replay count reaches this value — repeat RDMA faults become
 	// CXL-cost hits (0 disables promotion).
 	PromoteThreshold int
-	// PromoteCacheBytes bounds the promotion cache, LRU-evicted
-	// (0 = 256 MB).
-	PromoteCacheBytes int64
 	// PreWarmSandboxes provisions this many cleaned sandboxes into the
 	// universal pool before traffic arrives (TrEnv policies), so even
 	// the very first burst repurposes instead of building isolation
@@ -123,9 +115,6 @@ type Config struct {
 	// for TrEnv policies (re-attach is a metadata copy); the restore
 	// happens off the request's critical path.
 	CleanAfterUse bool
-	// CXLCapacity / RDMACapacity bound the pools (0 = unlimited).
-	CXLCapacity  int64
-	RDMACapacity int64
 	// Latency overrides the memory-system latency constants (nil =
 	// DefaultLatencyModel). Used by the calibration-sensitivity study.
 	Latency *mem.LatencyModel
@@ -164,6 +153,12 @@ type Config struct {
 	OnResult func(InvocationResult)
 }
 
+// warmReuse is the dispatch cost of reusing a kept-alive instance.
+const warmReuse = 500 * time.Microsecond
+
+// promoteCacheBytes bounds the promotion cache, LRU-evicted.
+const promoteCacheBytes = 256 << 20
+
 // DefaultConfig returns the testbed-like configuration for a policy.
 func DefaultConfig(policy Policy) Config {
 	return Config{
@@ -171,7 +166,6 @@ func DefaultConfig(policy Policy) Config {
 		Seed:        1,
 		Cores:       64,
 		KeepAlive:   10 * time.Minute,
-		WarmReuse:   500 * time.Microsecond,
 		HotFraction: 1,
 	}
 }
@@ -259,8 +253,8 @@ func New(cfg Config) *Platform {
 		rt:         core.DefaultRuntime(node),
 		lat:        lat,
 		cpu:        sim.NewResource("cores", cfg.Cores),
-		cxl:        mem.NewPool(mem.CXL, cfg.CXLCapacity, lat),
-		rdma:       mem.NewPool(mem.RDMA, cfg.RDMACapacity, lat),
+		cxl:        mem.NewPool(mem.CXL, 0, lat),
+		rdma:       mem.NewPool(mem.RDMA, 0, lat),
 		tmpfs:      mem.NewPool(mem.Tmpfs, 0, lat),
 		fns:        make(map[string]*Function),
 		warm:       make(map[string][]*core.Instance),
@@ -309,17 +303,10 @@ func New(cfg Config) *Platform {
 	// replay.
 	if cfg.Prefetch && cfg.Policy.IsTrEnv() {
 		if cfg.PromoteThreshold > 0 {
-			capBytes := cfg.PromoteCacheBytes
-			if capBytes == 0 {
-				capBytes = 256 << 20
-			}
-			pl.promoCache = mem.NewPromotionCache(capBytes, lat)
+			pl.promoCache = mem.NewPromotionCache(promoteCacheBytes, lat)
 			pl.promoCache.Pool().SetHome(pl.nodeName)
 		}
-		pl.prefetcher = prefetch.New(pl.promoCache, prefetch.Config{
-			BatchPages:   cfg.PrefetchBatchPages,
-			PromoteAfter: cfg.PromoteThreshold,
-		})
+		pl.prefetcher = prefetch.New(pl.promoCache, prefetch.Config{PromoteAfter: cfg.PromoteThreshold})
 		pl.rt.Prefetcher = pl.prefetcher
 	}
 	return pl
@@ -357,10 +344,6 @@ func (pl *Platform) Metrics() *Metrics { return pl.metrics }
 
 // MemoryGauge returns node DRAM usage over time (sampled).
 func (pl *Platform) MemoryGauge() *sim.Gauge { return &pl.memGauge }
-
-// SetTracer attaches (or detaches, with nil) an invocation span
-// recorder.
-func (pl *Platform) SetTracer(t *obs.Tracer) { pl.tracer = t }
 
 // Tracer returns the attached span recorder (nil when tracing is off).
 func (pl *Platform) Tracer() *obs.Tracer { return pl.tracer }
@@ -824,8 +807,8 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, deadline time.D
 	var fallbackAt time.Duration
 	var fallbackCause *mem.ErrPoolUnavailable
 	if in != nil {
-		p.Sleep(pl.cfg.WarmReuse)
-		st = core.Startup{Path: core.PathWarm, Restore: pl.cfg.WarmReuse}
+		p.Sleep(warmReuse)
+		st = core.Startup{Path: core.PathWarm, Restore: warmReuse}
 	} else {
 		pl.evictForSpace(p, traceID, pl.estimateStartBytes(fn))
 		tStart = p.Now() // soft-cap eviction work ends here
@@ -1056,7 +1039,8 @@ func (pl *Platform) invoke(p *sim.Proc, name, dispatcher string, deadline time.D
 		old := in.Restored
 		fresh, err := snapshot.RestoreTemplate(fn.Img, pl.node, pl.lat, pl.rt.AttachCosts, pl.rt.RestoreCosts)
 		if err != nil {
-			pl.metrics.Errors.Inc()
+			// The invocation is already recorded; an instance that
+			// cannot be scrubbed is released, not kept warm.
 			pl.release(p, in)
 			return
 		}

@@ -71,6 +71,28 @@ func TestOutageFallsBackToLocalColdStart(t *testing.T) {
 	}
 }
 
+// TestCleanAfterUseOnDarkPoolCountsOnce: with CleanAfterUse on a dark
+// CXL pool, the invocation is served by a fallback and recorded; the
+// failed template re-attach that follows releases the instance without
+// counting the same invocation a second time as an error.
+func TestCleanAfterUseOnDarkPoolCountsOnce(t *testing.T) {
+	pl, results := outagePlatform(t, func(cfg *Config) { cfg.CleanAfterUse = true })
+	pl.Invoke(0, "JS")
+	pl.Engine().Run()
+
+	m := pl.Metrics()
+	if len(*results) != 1 || (*results)[0].Outcome != OutcomeFallback {
+		t.Fatalf("results = %+v, want one fallback", *results)
+	}
+	if m.Errors.Value() != 0 || m.Fallbacks.Value() != 1 || m.Invocations() != 1 {
+		t.Fatalf("errors %d fallbacks %d invocations %d, want 0 1 1",
+			m.Errors.Value(), m.Fallbacks.Value(), m.Invocations())
+	}
+	if n := pl.WarmCount(); n != 0 {
+		t.Fatalf("warm instances = %d, want 0 (the unscrubbed instance is released)", n)
+	}
+}
+
 // TestOutageWithFallbackDisabledSurfacesTypedError: the same outage with
 // DisableFallback set must surface *mem.ErrPoolUnavailable as a typed
 // error outcome instead of silently degrading.

@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -81,6 +82,61 @@ type Scenario struct {
 func (s Scenario) Empty() bool {
 	return len(s.PoolOutages) == 0 && len(s.PoolDegrades) == 0 &&
 		len(s.FlakyFetches) == 0 && len(s.NodeCrashes) == 0 && len(s.LinkFlaps) == 0
+}
+
+// maxFlapCount caps LinkFlap.Count. NewInjector compiles every flap
+// into its own outage window and Arm records one span per window, so
+// the count sizes memory up front; a schedule arriving over POST /chaos
+// must not be able to ask for millions. Ten thousand flaps is a flap a
+// second for 2.7 virtual hours, longer than any experiment runs.
+const maxFlapCount = 10000
+
+// Validate rejects a schedule NewInjector and Arm cannot compile: an
+// empty or inverted window, a degrade factor that is not a finite value
+// above 1, a probability outside (0, 1], a negative burst, a flap whose
+// down time does not fit in (0, period], a flap count outside [1,
+// maxFlapCount], or flaps that run past the end of virtual time.
+// ParseSpec returns only scenarios that pass; one built or decoded
+// elsewhere must be validated before it is armed.
+func (s Scenario) Validate() error {
+	for i, o := range s.PoolOutages {
+		if o.To <= o.From {
+			return fmt.Errorf("fault: pool outage %d on %q: empty window [%v, %v)", i, o.Pool, o.From, o.To)
+		}
+	}
+	for i, d := range s.PoolDegrades {
+		if d.To <= d.From {
+			return fmt.Errorf("fault: pool degrade %d on %q: empty window [%v, %v)", i, d.Pool, d.From, d.To)
+		}
+		if !(d.Factor > 1) || math.IsInf(d.Factor, 1) {
+			return fmt.Errorf("fault: pool degrade %d on %q: factor %g (want finite, > 1)", i, d.Pool, d.Factor)
+		}
+	}
+	for i, f := range s.FlakyFetches {
+		if (f.From != 0 || f.To != 0) && f.To <= f.From {
+			return fmt.Errorf("fault: flaky fetch %d on %q: empty window [%v, %v)", i, f.Pool, f.From, f.To)
+		}
+		if !(f.Prob > 0 && f.Prob <= 1) {
+			return fmt.Errorf("fault: flaky fetch %d on %q: probability %g (want (0,1])", i, f.Pool, f.Prob)
+		}
+		if f.Burst < 0 {
+			return fmt.Errorf("fault: flaky fetch %d on %q: negative burst %d", i, f.Pool, f.Burst)
+		}
+	}
+	for i, f := range s.LinkFlaps {
+		if f.Down <= 0 || f.Down > f.Period {
+			return fmt.Errorf("fault: link flap %d on %q: down %v must be in (0, period %v]", i, f.Pool, f.Down, f.Period)
+		}
+		if f.Count < 1 || f.Count > maxFlapCount {
+			return fmt.Errorf("fault: link flap %d on %q: count %d (want 1..%d)", i, f.Pool, f.Count, maxFlapCount)
+		}
+		// The last window ends at From + (Count-1)*Period + Down, which
+		// is at most From + Count*Period.
+		if room := time.Duration(math.MaxInt64) - max(f.From, 0); f.Period > room/time.Duration(f.Count) {
+			return fmt.Errorf("fault: link flap %d on %q: %d flaps of %v from %v overflow virtual time", i, f.Pool, f.Count, f.Period, f.From)
+		}
+	}
+	return nil
 }
 
 // window is one compiled outage interval [from, to).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -56,6 +57,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"crash:n1:soon",           // bad duration
 		"flap:nas:10s/20s:x3",     // down > period
 		"flap:nas:10s/2s:3",       // count missing x prefix
+		"flap:nas:10s/2s:x10001",  // count over maxFlapCount
+		"flap:nas:2562047h/1h:x2", // last flap past the end of virtual time
+		"degrade:rdma:NaNx:1s-2s", // factor not a number
+		"degrade:rdma:Infx:1s-2s", // factor not finite
+		"flaky:rdma:NaN",          // probability not a number
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {
@@ -65,6 +71,35 @@ func TestParseSpecErrors(t *testing.T) {
 	if sc, err := ParseSpec(""); err != nil || !sc.Empty() {
 		t.Fatalf("empty spec = (%+v, %v), want empty scenario", sc, err)
 	}
+}
+
+// FuzzParseSpec: no input panics the parser, every accepted scenario
+// passes Validate, and compiling and arming it with a tracer attached
+// does not panic.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"outage:cxl:10s-20s,degrade:rdma:3x:5s-15s,flaky:rdma:0.2:burst=3,crash:n1:30s,flap:nas:10s/2s:x3:1m",
+		"flaky:rdma:0.5:10s-20s",
+		"outage:cxl:20s-10s",
+		"degrade:rdma:0.5x:1s-2s",
+		"flap:nas:10s/20s:x3",
+		"crash:n1:-5s",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sc, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("%q parsed to %+v, which fails Validate: %v", spec, sc, err)
+		}
+		inj := NewInjector(sim.NewEngine(1), 1, sc)
+		inj.SetTracer(obs.NewTracer(0))
+		inj.Arm()
+	})
 }
 
 func TestInjectorOutageWindow(t *testing.T) {

@@ -343,20 +343,3 @@ func TestRegistryBadNamePanics(t *testing.T) {
 	}()
 	reg.CounterFunc("bad name", "m", nil, func() int64 { return 0 })
 }
-
-func TestTracerStreamsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(2)
-	tr.StreamTo(&buf)
-	tr.Record(sampleTree())
-	tr.Record(sampleTree())
-	tr.Record(sampleTree()) // drops one from the ring, still streams
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("streamed %d lines, want 3", len(lines))
-	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &obj); err != nil {
-		t.Fatalf("invalid streamed JSON: %v", err)
-	}
-}

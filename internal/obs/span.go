@@ -154,7 +154,7 @@ func (s *Span) String() string {
 }
 
 // Tracer collects completed root spans into a bounded ring (oldest
-// dropped first) and optionally streams each one as a JSONL record.
+// dropped first).
 // It is safe for concurrent use, though the simulation itself records
 // from a single goroutine at a time.
 type Tracer struct {
@@ -164,7 +164,6 @@ type Tracer struct {
 	max     int
 	seq     int64 // fallback trace-ID sequence for unstamped roots
 	dropped int64
-	stream  io.Writer
 }
 
 // DefaultTracerCapacity bounds a tracer built with capacity <= 0.
@@ -177,14 +176,6 @@ func NewTracer(max int) *Tracer {
 		max = DefaultTracerCapacity
 	}
 	return &Tracer{max: max}
-}
-
-// StreamTo additionally writes every recorded root span as one JSON
-// line to w (nil detaches).
-func (t *Tracer) StreamTo(w io.Writer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stream = w
 }
 
 // Record retains a completed root span.
@@ -204,10 +195,6 @@ func (t *Tracer) Record(root *Span) {
 		t.roots[t.head] = root
 		t.head = (t.head + 1) % t.max
 		t.dropped++
-	}
-	if t.stream != nil {
-		enc := json.NewEncoder(t.stream)
-		enc.Encode(spanToJSON(root)) //nolint:errcheck // best-effort stream
 	}
 }
 
@@ -257,9 +244,8 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// spanJSON is the serialized span shape shared by the JSONL stream and
-// WriteJSONL. Map attrs serialize with sorted keys, keeping output
-// deterministic.
+// spanJSON is the serialized span shape WriteJSONL writes. Map attrs
+// serialize with sorted keys, keeping output deterministic.
 type spanJSON struct {
 	Name     string            `json:"name"`
 	TraceID  string            `json:"trace_id,omitempty"`

@@ -11,20 +11,18 @@ import (
 	"repro/internal/mem"
 )
 
-// refVMA is the per-page software MMU: one State, dirty bit, in-flight
+// refVMA is the per-page software MMU: one State, in-flight
 // deadline and pool redirect per page. It is the reference model the
 // run-length extent list must match op for op, and it is deliberately
 // simple — every operation walks its range page by page.
 type refVMA struct {
-	name       string
-	prot       Prot
-	segs       []Backing
-	states     []State
-	counts     [numStates]int
-	dirty      []bool
-	dirtyCount int
-	inflight   map[int]time.Duration
-	redirect   map[int]*mem.Pool
+	name     string
+	prot     Prot
+	segs     []Backing
+	states   []State
+	counts   [numStates]int
+	inflight map[int]time.Duration
+	redirect map[int]*mem.Pool
 }
 
 func (v *refVMA) pages() int { return len(v.states) }
@@ -45,13 +43,6 @@ func (v *refVMA) setState(i int, s State) {
 	v.counts[v.states[i]]--
 	v.states[i] = s
 	v.counts[s]++
-}
-
-func (v *refVMA) markDirty(i int) {
-	if !v.dirty[i] {
-		v.dirty[i] = true
-		v.dirtyCount++
-	}
 }
 
 // refAS is the reference address space. It has no address layout: the
@@ -90,7 +81,7 @@ func (as *refAS) addVMA(name string, pages int, prot Prot, pool *mem.Pool, base 
 			return nil, err
 		}
 	}
-	v := &refVMA{name: name, prot: prot, states: make([]State, pages), dirty: make([]bool, pages),
+	v := &refVMA{name: name, prot: prot, states: make([]State, pages),
 		inflight: map[int]time.Duration{}, redirect: map[int]*mem.Pool{}}
 	for i := range v.states {
 		v.states[i] = init
@@ -191,9 +182,6 @@ func (as *refAS) accessVMA(rng *rand.Rand, v *refVMA, first, count int, write bo
 		}
 	}
 	for i := first; i < first+count; i++ {
-		if write {
-			v.markDirty(i)
-		}
 		switch v.states[i] {
 		case Local:
 			if dl, ok := v.inflight[i]; ok {
@@ -377,24 +365,8 @@ func (as *refAS) grow(v *refVMA, pages int) error {
 		return fmt.Errorf("pagetable: grow by %d pages", pages)
 	}
 	v.states = append(v.states, make([]State, pages)...)
-	v.dirty = append(v.dirty, make([]bool, pages)...)
 	v.counts[Unmapped] += pages
 	return nil
-}
-
-func (as *refAS) dirtyBytes() int64 {
-	var pages int
-	for _, v := range as.vmas {
-		pages += v.dirtyCount
-	}
-	return int64(pages) * mem.PageSize
-}
-
-func (as *refAS) markClean() {
-	for _, v := range as.vmas {
-		clear(v.dirty)
-		v.dirtyCount = 0
-	}
 }
 
 // oracleWorld is one side of the property test: a tracker, pools, a
@@ -454,11 +426,11 @@ func errText(err error) string {
 }
 
 // checkRuns asserts the extent list's invariants: sorted, contiguous,
-// covering [0, Pages()), no equal neighbours, and counts, dirty pages
-// and in-flight deadlines consistent with the runs.
+// covering [0, Pages()), no equal neighbours, and counts and in-flight
+// deadlines consistent with the runs.
 func checkRuns(v *VMA) error {
 	var counts [numStates]int
-	var dirty, start int
+	var start int
 	for k, r := range v.runs {
 		if r.end <= start {
 			return fmt.Errorf("run %d [%d,%d) is empty or unsorted", k, start, r.end)
@@ -470,21 +442,17 @@ func checkRuns(v *VMA) error {
 			return fmt.Errorf("run %d has a deadline but is not in flight", k)
 		}
 		counts[r.state] += r.end - start
-		if r.dirty {
-			dirty += r.end - start
-		}
 		start = r.end
 	}
-	if counts != v.counts || dirty != v.dirtyCount {
-		return fmt.Errorf("runs count %v dirty %d, VMA says %v dirty %d", counts, dirty, v.counts, v.dirtyCount)
+	if counts != v.counts {
+		return fmt.Errorf("runs count %v, VMA says %v", counts, v.counts)
 	}
 	return nil
 }
 
 // TestExtentMatchesPerPageOracle drives the extent MMU and the per-page
 // reference with the same random op sequences and compares everything
-// observable after every op: per-page state and pool, counts, dirty
-// pages, RSS, stats, access results, errors and the working-set log.
+// observable after every op: per-page state and pool, counts, RSS, stats, access results, errors and the working-set log.
 func TestExtentMatchesPerPageOracle(t *testing.T) {
 	seeds, steps := 300, 150
 	if testing.Short() {
@@ -541,7 +509,7 @@ func runOracle(seed int64, steps int) error {
 		var eres, rres AccessResult
 		var eerr, rerr error
 		var en, rn int
-		op := drv.Intn(14)
+		op := drv.Intn(13)
 		if len(vmas) == 0 || (op == 0 && len(vmas) < 5) {
 			op = 0
 		} else if op == 0 {
@@ -629,10 +597,6 @@ func runOracle(seed int64, steps int) error {
 			eerr = as.Grow(v, pages)
 			rerr = ref.grow(r, pages)
 		case 12:
-			what = "MarkClean"
-			as.MarkClean()
-			ref.markClean()
-		case 13:
 			d := time.Duration(drv.Intn(60)) * time.Microsecond
 			what = fmt.Sprintf("tick %v", d)
 			ew.now += d
@@ -664,8 +628,8 @@ func runOracle(seed int64, steps int) error {
 			if err := checkRuns(v); err != nil {
 				return fail("%s: %v", v.Name, err)
 			}
-			if v.Pages() != r.pages() || v.DirtyPages() != r.dirtyCount || as.DirtyBytes() != ref.dirtyBytes() {
-				return fail("%s: pages %d dirty %d, reference %d %d", v.Name, v.Pages(), v.DirtyPages(), r.pages(), r.dirtyCount)
+			if v.Pages() != r.pages() {
+				return fail("%s: pages %d, reference %d", v.Name, v.Pages(), r.pages())
 			}
 			for s := Unmapped; s < numStates; s++ {
 				if v.CountIn(s) != r.counts[s] {

@@ -22,7 +22,7 @@
 // RDMA's per-page major faults, and CoW isolation for written pages.
 //
 // A VMA stores its pages as a sorted list of runs: maximal stretches of
-// pages sharing state, backing pool, dirty bit and prefetch deadline.
+// pages sharing state, backing pool and prefetch deadline.
 // Working sets are long contiguous stretches (REAP), so every operation
 // splits runs at its range ends, updates each run in one step and merges
 // equal neighbours: page-table work is O(runs), not O(pages), and
@@ -109,10 +109,9 @@ type VMA struct {
 	Prot  Prot
 	Kind  MapKind
 
-	segs       []Backing // sorted by First, non-overlapping
-	runs       []run     // sorted, contiguous, cover [0, Pages()), no equal neighbours
-	counts     [numStates]int
-	dirtyCount int
+	segs   []Backing // sorted by First, non-overlapping
+	runs   []run     // sorted, contiguous, cover [0, Pages()), no equal neighbours
+	counts [numStates]int
 }
 
 // run is a maximal stretch of pages, ending before page end, that share
@@ -121,7 +120,6 @@ type run struct {
 	end   int
 	pool  *mem.Pool // the PromoteRange cache, else the segment's pool, else nil
 	state State
-	dirty bool // written since the last MarkClean: an incremental dump's delta
 	// flying marks pages a prefetch batch landing at ready is delivering
 	// (see MarkInFlight); ready is zero when not flying.
 	flying bool
@@ -197,9 +195,6 @@ func (v *VMA) setState(r *run, s State, n int) {
 	r.state = s
 	v.counts[s] += n
 }
-
-// DirtyPages returns pages written since the last MarkClean.
-func (v *VMA) DirtyPages() int { return v.dirtyCount }
 
 // Pages returns the VMA's page count.
 func (v *VMA) Pages() int { return v.runs[len(v.runs)-1].end }
@@ -595,10 +590,6 @@ func (as *AddressSpace) accessVMA(rng *rand.Rand, v *VMA, first, count int, writ
 	// of the prefetcher's batched fetches.
 	record := as.wslog != nil && as.wslog.active()
 	v.update(first, first+count, func(r *run, start, n int) {
-		if write && !r.dirty {
-			r.dirty = true
-			v.dirtyCount += n
-		}
 		switch r.state {
 		case Local:
 			// In-flight prefetch hits: pages whose batch is still on the
@@ -755,27 +746,6 @@ func (as *AddressSpace) Grow(v *VMA, pages int) error {
 	return nil
 }
 
-// DirtyBytes sums pages written since the last MarkClean across VMAs.
-func (as *AddressSpace) DirtyBytes() int64 {
-	var pages int
-	for _, v := range as.vmas {
-		pages += v.dirtyCount
-	}
-	return int64(pages) * mem.PageSize
-}
-
-// MarkClean resets dirty tracking — called after a (pre-)dump so the
-// next incremental checkpoint copies only the new delta.
-func (as *AddressSpace) MarkClean() {
-	for _, v := range as.vmas {
-		for k := range v.runs {
-			v.runs[k].dirty = false
-		}
-		v.merge(0, len(v.runs))
-		v.dirtyCount = 0
-	}
-}
-
 // MakeResident forces pages [first, first+count) of v into Local state,
 // allocating node DRAM, without charging fault costs or pool fetches. It
 // models bulk restore copies whose cost the caller accounts analytically
@@ -795,14 +765,6 @@ func (as *AddressSpace) MakeResident(v *VMA, first, count int) error {
 		return nil
 	}
 	return as.allocLocal(int64(toAlloc) * mem.PageSize)
-}
-
-// Prefetch forces pages [first, first+count) of v resident, as REAP-style
-// working-set prefetch does: remote pages are fetched in one batch,
-// unmapped pages are zero-filled. It returns the latency of the batch.
-func (as *AddressSpace) Prefetch(rng *rand.Rand, v *VMA, first, count int) (time.Duration, error) {
-	res, err := as.accessVMA(rng, v, first, count, false)
-	return res.Latency, err // zero on error: Latency is set only on success
 }
 
 // ReleaseAll returns every local page to the tracker and drops all

@@ -342,23 +342,6 @@ func TestAccessIdempotentProperty(t *testing.T) {
 	}
 }
 
-func TestPrefetchMakesAccessFree(t *testing.T) {
-	as, _ := newAS(t, 0)
-	v, _ := as.AddVMA("img", 0, 50, Read|Write, Anon, rdmaPool(), 0, RemoteLazy)
-	rng := rand.New(rand.NewSource(1))
-	lat, err := as.Prefetch(rng, v, 0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat == 0 {
-		t.Fatal("prefetch of remote pages was free")
-	}
-	res, _ := as.Access(rng, v, 30, 0)
-	if res.MajorFaults != 0 || res.Latency != 0 {
-		t.Fatalf("post-prefetch access not free: %+v", res)
-	}
-}
-
 func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{Unmapped: "unmapped", RemoteDirect: "remote-direct", RemoteLazy: "remote-lazy", Local: "local"} {
 		if s.String() != want {

@@ -32,9 +32,7 @@ type Engine struct {
 	carriers int       // carriers ever started (tests check the pool bound)
 	running  bool
 	stopped  bool
-	EventCap int64 // optional safety valve; 0 means unlimited
 	events   int64
-	tracer   func(at time.Duration, kind, name string)
 }
 
 type event struct {
@@ -172,9 +170,6 @@ func (e *Engine) At(t time.Duration, kind, subject string, fn func(p *Proc)) *Pr
 	p := &Proc{eng: e, kind: kind, subject: subject, fn: fn}
 	e.procs[p] = struct{}{}
 	e.push(event{at: t, proc: p})
-	if e.tracer != nil {
-		e.tracer(e.now, "spawn", p.Name())
-	}
 	return p
 }
 
@@ -272,7 +267,7 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Park suspends the process indefinitely; some other component must
-// Resume it. Building block for queues and admission control.
+// Resume it. Building block for admission control.
 func (p *Proc) Park() { p.park() }
 
 // Resume schedules a parked process to continue at the current virtual
@@ -319,20 +314,11 @@ func (e *Engine) run(deadline time.Duration) {
 		}
 		e.now = ev.at
 		e.events++
-		if e.EventCap > 0 && e.events > e.EventCap {
-			panic("sim: event cap exceeded (runaway simulation?)")
-		}
 		if proc := ev.proc; proc != nil {
 			if !proc.done {
-				if e.tracer != nil {
-					e.tracer(e.now, "resume", proc.Name())
-				}
 				e.resume(proc)
 			}
 			continue
-		}
-		if e.tracer != nil {
-			e.tracer(e.now, "callback", "")
 		}
 		ev.fn()
 	}

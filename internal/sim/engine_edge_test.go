@@ -104,20 +104,6 @@ func TestPendingAfterShutdown(t *testing.T) {
 	}
 }
 
-// The events counter and cap are int64 end-to-end; a cap larger than
-// MaxInt32 must not wrap or trip early.
-func TestEventCapInt64(t *testing.T) {
-	e := NewEngine(1)
-	e.EventCap = int64(1)<<33 + 5
-	for i := 0; i < 100; i++ {
-		e.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	e.Run()
-	if e.Events() != 100 {
-		t.Fatalf("Events() = %d, want 100", e.Events())
-	}
-}
-
 // The value-typed event heap keeps the steady-state schedule loop
 // allocation-free: a self-rescheduling proc must stay under a small
 // allocs-per-event ceiling once warmed up.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
 // Percentile edge cases pinned down explicitly: the empty histogram, a
 // single sample, and linear interpolation between closest ranks.
@@ -66,74 +62,4 @@ func absDiff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
-}
-
-// TraceLog ring: wrap-around ordering and drop accounting after the
-// O(1) circular-buffer rewrite.
-
-func TestTraceLogWrapOrderingAndDrops(t *testing.T) {
-	l := NewTraceLog(4)
-	for i := 0; i < 10; i++ {
-		l.Record(time.Duration(i)*time.Millisecond, "resume", "p")
-	}
-	if got := l.Dropped(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
-	}
-	got := l.Entries()
-	if len(got) != 4 {
-		t.Fatalf("retained %d entries, want 4", len(got))
-	}
-	for i, e := range got {
-		want := time.Duration(6+i) * time.Millisecond
-		if e.At != want {
-			t.Fatalf("entry %d at %v, want %v (oldest-first order broken)", i, e.At, want)
-		}
-	}
-}
-
-func TestTraceLogBelowCapacityNoDrops(t *testing.T) {
-	l := NewTraceLog(8)
-	for i := 0; i < 5; i++ {
-		l.Record(time.Duration(i), "callback", "after")
-	}
-	if l.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", l.Dropped())
-	}
-	got := l.Entries()
-	if len(got) != 5 {
-		t.Fatalf("retained %d entries, want 5", len(got))
-	}
-	for i, e := range got {
-		if e.At != time.Duration(i) {
-			t.Fatalf("entry %d at %v, want %v", i, e.At, time.Duration(i))
-		}
-	}
-}
-
-func TestTraceLogWrapManyTimes(t *testing.T) {
-	l := NewTraceLog(3)
-	const n = 100
-	for i := 0; i < n; i++ {
-		l.Record(time.Duration(i), "spawn", "p")
-	}
-	if got := l.Dropped(); got != n-3 {
-		t.Fatalf("dropped = %d, want %d", got, n-3)
-	}
-	got := l.Entries()
-	for i, e := range got {
-		if want := time.Duration(n - 3 + i); e.At != want {
-			t.Fatalf("entry %d at %v, want %v", i, e.At, want)
-		}
-	}
-}
-
-func TestTraceLogStringMentionsDrops(t *testing.T) {
-	l := NewTraceLog(2)
-	for i := 0; i < 5; i++ {
-		l.Record(time.Duration(i), "resume", "p")
-	}
-	s := l.String()
-	if want := "3 earlier events dropped"; !strings.Contains(s, want) {
-		t.Fatalf("String() = %q, want mention of %q", s, want)
-	}
 }

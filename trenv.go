@@ -465,10 +465,6 @@ type SLO = obs.SLO
 // sliding virtual-time windows; see ContainerPlatform.SLO.
 type SLOTracker = obs.SLOTracker
 
-// SchedulerTraceLog is the engine's bounded scheduler-event ring
-// (Engine.AttachTraceLog).
-type SchedulerTraceLog = sim.TraceLog
-
 // RegisterTracerDrops publishes a span tracer's drop counter
 // (trenv_spans_dropped_total) into a metrics registry.
 func RegisterTracerDrops(reg *MetricsRegistry, labels map[string]string, tr *Tracer) {
