@@ -197,9 +197,10 @@ func TestHedgeFlagArmsDeadlineOnlyPolicy(t *testing.T) {
 }
 
 // TestChaosRejectsInvalidScenario: a JSON scenario gets every check a
-// spec does. An inverted outage window and a flap count just over the
-// cap are refused with 400 before anything is attached, so the server
-// stays unarmed and a later valid schedule still arms.
+// spec does. An inverted outage window, a flap count just over the cap
+// and a misspelt pool name are refused with 400 before anything is
+// attached, so the server stays unarmed and a later valid schedule
+// still arms.
 func TestChaosRejectsInvalidScenario(t *testing.T) {
 	ts := testServer(t)
 	for name, body := range map[string]map[string]any{
@@ -210,6 +211,10 @@ func TestChaosRejectsInvalidScenario(t *testing.T) {
 			"link_flaps": []map[string]any{{"pool": "cxl", "period": int64(time.Second), "down": int64(time.Millisecond), "count": 10001}},
 		}},
 		"flap spec over cap": {"spec": "flap:cxl:1s/1ms:x10001"},
+		"misspelt pool": {"scenario": map[string]any{
+			"pool_outages": []map[string]any{{"pool": "bogus", "from": int64(time.Second), "to": int64(2 * time.Second)}},
+		}},
+		"misspelt pool spec": {"spec": "outage:bogus:1s-2s,crash::5s"},
 	} {
 		resp, out := postJSON(t, ts.URL+"/chaos", body)
 		if resp.StatusCode != http.StatusBadRequest {

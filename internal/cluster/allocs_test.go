@@ -83,9 +83,9 @@ func allocRack(t *testing.T) int64 {
 // any machine. Readings over three runs each, go1.24.0 linux/amd64:
 //
 //	run          plain   -race         ceiling
-//	w1-obs-off    36.9    37.5-37.7       44
-//	w1-obs-on     99.5   106.4-106.8     125
-//	rack-azure    14.5    15.0-15.1       18
+//	w1-obs-off    33.2    33.6-33.7       40
+//	w1-obs-on     95.8   102.7-102.9     120
+//	rack-azure    14.1    14.6-14.7       17
 //
 // Each ceiling sits 10-20% above the -race reading: CI runs the suite
 // under -race with the toolchain go.mod names (go 1.22), on which these
@@ -97,9 +97,9 @@ func TestAllocsPerInvocationCeilings(t *testing.T) {
 		ceiling float64
 		run     func(t *testing.T) int64
 	}{
-		{"w1-obs-off", 44, func(t *testing.T) int64 { return allocW1Node(t, false) }},
-		{"w1-obs-on", 125, func(t *testing.T) int64 { return allocW1Node(t, true) }},
-		{"rack-azure", 18, allocRack},
+		{"w1-obs-off", 40, func(t *testing.T) int64 { return allocW1Node(t, false) }},
+		{"w1-obs-on", 120, func(t *testing.T) int64 { return allocW1Node(t, true) }},
+		{"rack-azure", 17, allocRack},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

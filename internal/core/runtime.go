@@ -189,7 +189,7 @@ func (rt *Runtime) chargeOverhead(n int64) error { return rt.Tracker.Alloc(n) }
 // abort unwinds a start that failed part-way, retiring the partial
 // instance the way Release would: restored memory goes back to the node,
 // a microVM's netns back to its pool, a recyclable sandbox is cleaned
-// into the universal pool and a discard-path sandbox is destroyed.
+// into the universal pool and a discard-path sandbox is dropped.
 func (rt *Runtime) abort(p *sim.Proc, in *Instance, recycle bool, err error) (*Instance, Startup, error) {
 	rt.Release(p, in, recycle)
 	return nil, Startup{}, err
@@ -258,7 +258,7 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 	sbd.Other = rt.VMResume // Firecracker device-state resume
 	sandboxCost := sbd.Total()
 	tmpfs.BeginFetch()
-	res, err := snapshot.RestoreLazy(p.Rand(), snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
+	res, err := snapshot.RestoreLazy(snap, rt.Tracker, tmpfs, cfg, rt.Lat, rt.RestoreCosts)
 	if err != nil {
 		tmpfs.EndFetch()
 		return rt.abort(p, in, false, fmt.Errorf("core: lazy start %s: %w", prof.Name, err))
@@ -277,25 +277,24 @@ func (rt *Runtime) StartLazyVM(p *sim.Proc, prof workload.FunctionProfile, snap 
 	return in, st, nil
 }
 
+// pooledSandbox repurposes a sandbox from the universal pool for fn, or
+// builds one from scratch on a pool miss (path PathCold, with the
+// creation Breakdown). cost is the sandbox work slept through.
+func (rt *Runtime) pooledSandbox(p *sim.Proc, fn string) (sb *sandbox.Sandbox, path StartPath, cost time.Duration, bd sandbox.Breakdown, err error) {
+	if sb = rt.SBPool.Get(); sb == nil {
+		sb, bd = rt.Factory.Create(p, fn)
+		return sb, PathCold, bd.Total(), bd, nil
+	}
+	cost, err = rt.Factory.Repurpose(p, sb, fn)
+	return sb, PathRepurpose, cost, bd, err
+}
+
 // StartTrEnv starts an instance the TrEnv way: repurpose a pooled sandbox
 // (creating one only on pool miss) and attach the mm-templates.
 func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *snapshot.Image) (*Instance, Startup, error) {
-	var sandboxCost time.Duration
-	var sbd sandbox.Breakdown
-	path := PathRepurpose
-	sb := rt.SBPool.Get()
-	if sb == nil {
-		var bd sandbox.Breakdown
-		sb, bd = rt.Factory.Create(p, prof.Name)
-		sandboxCost = bd.Total()
-		sbd = bd
-		path = PathCold // pool miss: sandbox had to be built
-	} else {
-		d, err := rt.Factory.Repurpose(p, sb, prof.Name)
-		if err != nil {
-			return nil, Startup{}, err
-		}
-		sandboxCost = d
+	sb, path, sandboxCost, sbd, err := rt.pooledSandbox(p, prof.Name)
+	if err != nil {
+		return nil, Startup{}, err
 	}
 	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: path}
 	res, err := snapshot.RestoreTemplate(img, rt.Tracker, rt.Lat, rt.AttachCosts, rt.RestoreCosts)
@@ -328,26 +327,13 @@ func (rt *Runtime) StartTrEnv(p *sim.Proc, prof workload.FunctionProfile, img *s
 // legacy cgroup-migration cost is paid on top (the "Reconfig" bar); with
 // it true only the fast spawn path is used (the "Cgroup" bar).
 func (rt *Runtime) StartReconfig(p *sim.Proc, prof workload.FunctionProfile, snap *snapshot.Snapshot, cloneIntoCgroup bool) (*Instance, Startup, error) {
-	var sandboxCost time.Duration
-	var sbd sandbox.Breakdown
-	path := PathRepurpose
-	sb := rt.SBPool.Get()
-	if sb == nil {
-		var bd sandbox.Breakdown
-		sb, bd = rt.Factory.Create(p, prof.Name)
-		sandboxCost = bd.Total()
-		sbd = bd
-		path = PathCold
-	} else {
-		d, err := rt.Factory.Repurpose(p, sb, prof.Name)
-		if err != nil {
-			return nil, Startup{}, err
-		}
-		sandboxCost = d
-		if !cloneIntoCgroup {
-			sbd.CgroupMigrate = rt.Factory.MigrateCgroup(p)
-			sandboxCost += sbd.CgroupMigrate
-		}
+	sb, path, sandboxCost, sbd, err := rt.pooledSandbox(p, prof.Name)
+	if err != nil {
+		return nil, Startup{}, err
+	}
+	if path == PathRepurpose && !cloneIntoCgroup {
+		sbd.CgroupMigrate = rt.Factory.MigrateCgroup(p)
+		sandboxCost += sbd.CgroupMigrate
 	}
 	in := &Instance{Function: prof.Name, Profile: prof, Sandbox: sb, Path: path}
 	res, err := snapshot.RestoreFullCopy(snap, rt.Tracker, rt.Lat, rt.RestoreCosts)
@@ -385,18 +371,11 @@ func (rt *Runtime) Release(p *sim.Proc, in *Instance, recycleSandbox bool) {
 		rt.NetPool.Put(in.NetNS)
 		in.NetNS = nil
 	}
-	if in.Sandbox != nil {
-		if recycleSandbox {
-			rt.Factory.Clean(p, in.Sandbox)
-			rt.SBPool.Put(in.Sandbox)
-		} else {
-			// Discarded entirely: the cgroup directory goes away too.
-			if err := rt.Factory.Destroy(in.Sandbox); err != nil {
-				panic(err) // sandbox teardown is infallible in this model
-			}
-		}
-		in.Sandbox = nil
+	if in.Sandbox != nil && recycleSandbox {
+		rt.Factory.Clean(p, in.Sandbox)
+		rt.SBPool.Put(in.Sandbox)
 	}
+	in.Sandbox = nil
 }
 
 // ReleaseCrashed tears an instance down after its node crashed: memory
@@ -411,8 +390,5 @@ func (rt *Runtime) ReleaseCrashed(in *Instance) {
 		rt.Tracker.Free(in.OverheadBytes)
 	}
 	in.NetNS = nil
-	if in.Sandbox != nil {
-		_ = rt.Factory.Destroy(in.Sandbox)
-		in.Sandbox = nil
-	}
+	in.Sandbox = nil
 }

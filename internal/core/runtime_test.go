@@ -178,7 +178,7 @@ func TestTrEnvCrossFunctionRepurpose(t *testing.T) {
 		if in2.Sandbox.ID != sbID {
 			t.Error("sandbox not reused across function types")
 		}
-		if in2.Sandbox.Function != "CR" || in2.Sandbox.Rootfs.Overlay != "CR" {
+		if in2.Sandbox.Function != "CR" || in2.Sandbox.Procs != 1 {
 			t.Error("sandbox not reconfigured for CR")
 		}
 		if st2.Path != PathRepurpose {
@@ -383,7 +383,8 @@ func TestReconfigAblationOrdering(t *testing.T) {
 // TestFailedStartReturnsEverything: a start that fails after its sandbox
 // exists, because the restore or the overhead charge runs out of node
 // DRAM, hands back all it took. The pooled sandbox is back in the pool,
-// no cgroup still holds a process, and the node's memory is unchanged.
+// no pooled sandbox still holds a process, and the node's memory is
+// unchanged.
 func TestFailedStartReturnsEverything(t *testing.T) {
 	js := prof(t, "JS")
 	snap := js.Snapshot()
@@ -437,11 +438,16 @@ func TestFailedStartReturnsEverything(t *testing.T) {
 			}
 			now := func() state {
 				s := state{pooled: f.rt.SBPool.Len(), used: f.node.Used()}
-				f.rt.Factory.Cgroups.Root().Walk(func(n *sandbox.CgroupNode) {
-					if n.Procs > 0 {
+				var held []*sandbox.Sandbox
+				for sb := f.rt.SBPool.Get(); sb != nil; sb = f.rt.SBPool.Get() {
+					if sb.Procs > 0 {
 						s.busy++
 					}
-				})
+					held = append(held, sb)
+				}
+				for i := len(held) - 1; i >= 0; i-- {
+					f.rt.SBPool.Put(held[i])
+				}
 				return s
 			}
 			before := now()

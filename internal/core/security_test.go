@@ -37,7 +37,6 @@ func TestRepurposeLeaksNothingAcrossTenants(t *testing.T) {
 			return
 		}
 		inJS.Sandbox.Net.Connections = 5
-		inJS.Sandbox.Rootfs.Func.RecordWrite(9, 3<<20)
 		jsRSS := inJS.Restored.RSS()
 		if jsRSS == 0 {
 			t.Error("JS should have CoW'd pages")
@@ -45,7 +44,8 @@ func TestRepurposeLeaksNothingAcrossTenants(t *testing.T) {
 		}
 		sbID := inJS.Sandbox.ID
 		f.rt.Release(p, inJS, true)
-		p.Sleep(5 * time.Millisecond)
+		// Repurpose straight away: the upper-dir purge is still pending
+		// and must finish before CR runs.
 
 		inCR, _, err := f.rt.StartTrEnv(p, cr, crImg)
 		if err != nil {
@@ -59,12 +59,12 @@ func TestRepurposeLeaksNothingAcrossTenants(t *testing.T) {
 		if inCR.Sandbox.Net.Connections != 0 {
 			t.Error("connections leaked across repurpose")
 		}
-		// Filesystem: upper dir purged, overlay is CR's.
-		if inCR.Sandbox.Rootfs.Func.Dirty() {
+		// Filesystem: upper dir purged before CR runs.
+		if inCR.Sandbox.DirtyUpper {
 			t.Error("file modifications leaked across repurpose")
 		}
-		if inCR.Sandbox.Rootfs.Func.Function != "CR" {
-			t.Error("wrong overlay after repurpose")
+		if inCR.Sandbox.Function != "CR" {
+			t.Error("wrong occupant after repurpose")
 		}
 		// Memory: fresh attach holds zero local pages and only CR's
 		// regions; JS's written pages were freed with its instance.
@@ -191,13 +191,12 @@ func TestProcessTreeDiesWithInstance(t *testing.T) {
 			t.Errorf("JS threads = %d, want %d", got, js.Threads)
 		}
 		sb := inJS.Sandbox
-		cg := sb.Cgroup.Node
-		if cg.Procs == 0 {
-			t.Fatal("running instance has no process in its cgroup")
+		if sb.Procs == 0 {
+			t.Fatal("running instance has no process in its sandbox")
 		}
 		f.rt.Release(p, inJS, true)
-		if cg.Procs != 0 {
-			t.Errorf("JS processes survived release: cgroup %s holds %d", cg.Name, cg.Procs)
+		if sb.Procs != 0 {
+			t.Errorf("JS processes survived release: sandbox %d holds %d", sb.ID, sb.Procs)
 		}
 		p.Sleep(5 * time.Millisecond)
 		inCR, _, err := f.rt.StartTrEnv(p, cr, crImg)
@@ -211,8 +210,8 @@ func TestProcessTreeDiesWithInstance(t *testing.T) {
 		if got := inCR.Restored.Snapshot.Threads(); got != cr.Threads {
 			t.Errorf("CR threads = %d, want %d", got, cr.Threads)
 		}
-		if cg.Procs != 1 {
-			t.Errorf("repurposed cgroup holds %d processes, want only CR's", cg.Procs)
+		if sb.Procs != 1 {
+			t.Errorf("repurposed sandbox holds %d processes, want only CR's", sb.Procs)
 		}
 	})
 }

@@ -91,7 +91,8 @@ func (s Scenario) Empty() bool {
 // second for 2.7 virtual hours, longer than any experiment runs.
 const maxFlapCount = 10000
 
-// Validate rejects a schedule NewInjector and Arm cannot compile: an
+// Validate rejects a schedule NewInjector and Arm cannot compile or
+// that could never fire: a pool other than cxl, rdma, nas or tmpfs, an
 // empty or inverted window, a degrade factor that is not a finite value
 // above 1, a probability outside (0, 1], a negative burst, a flap whose
 // down time does not fit in (0, period], a flap count outside [1,
@@ -100,11 +101,17 @@ const maxFlapCount = 10000
 // elsewhere must be validated before it is armed.
 func (s Scenario) Validate() error {
 	for i, o := range s.PoolOutages {
+		if err := checkPool("pool outage", i, o.Pool); err != nil {
+			return err
+		}
 		if o.To <= o.From {
 			return fmt.Errorf("fault: pool outage %d on %q: empty window [%v, %v)", i, o.Pool, o.From, o.To)
 		}
 	}
 	for i, d := range s.PoolDegrades {
+		if err := checkPool("pool degrade", i, d.Pool); err != nil {
+			return err
+		}
 		if d.To <= d.From {
 			return fmt.Errorf("fault: pool degrade %d on %q: empty window [%v, %v)", i, d.Pool, d.From, d.To)
 		}
@@ -113,6 +120,9 @@ func (s Scenario) Validate() error {
 		}
 	}
 	for i, f := range s.FlakyFetches {
+		if err := checkPool("flaky fetch", i, f.Pool); err != nil {
+			return err
+		}
 		if (f.From != 0 || f.To != 0) && f.To <= f.From {
 			return fmt.Errorf("fault: flaky fetch %d on %q: empty window [%v, %v)", i, f.Pool, f.From, f.To)
 		}
@@ -124,6 +134,9 @@ func (s Scenario) Validate() error {
 		}
 	}
 	for i, f := range s.LinkFlaps {
+		if err := checkPool("link flap", i, f.Pool); err != nil {
+			return err
+		}
 		if f.Down <= 0 || f.Down > f.Period {
 			return fmt.Errorf("fault: link flap %d on %q: down %v must be in (0, period %v]", i, f.Pool, f.Down, f.Period)
 		}
@@ -137,6 +150,17 @@ func (s Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkPool rejects a pool name no injector can match: mem.Pool asks
+// about its kind's name, and only the shared pools are fetched from.
+// Node names stay unchecked; only the caller knows them.
+func checkPool(what string, i int, pool string) error {
+	switch pool {
+	case mem.CXL.String(), mem.RDMA.String(), mem.NAS.String(), mem.Tmpfs.String():
+		return nil
+	}
+	return fmt.Errorf("fault: %s %d: unknown pool %q (want cxl, rdma, nas or tmpfs)", what, i, pool)
 }
 
 // window is one compiled outage interval [from, to).

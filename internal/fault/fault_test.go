@@ -47,21 +47,25 @@ func TestParseSpecFlakyWindow(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		"bogus:cxl:1s-2s",         // unknown kind
-		"outage:cxl",              // missing window
-		"outage:cxl:20s-10s",      // empty window
-		"degrade:rdma:3:1s-2s",    // factor missing x suffix
-		"degrade:rdma:0.5x:1s-2s", // factor <= 1
-		"flaky:rdma:1.5",          // probability out of range
-		"flaky:rdma:0.2:oops",     // bad option
-		"crash:n1:soon",           // bad duration
-		"flap:nas:10s/20s:x3",     // down > period
-		"flap:nas:10s/2s:3",       // count missing x prefix
-		"flap:nas:10s/2s:x10001",  // count over maxFlapCount
-		"flap:nas:2562047h/1h:x2", // last flap past the end of virtual time
-		"degrade:rdma:NaNx:1s-2s", // factor not a number
-		"degrade:rdma:Infx:1s-2s", // factor not finite
-		"flaky:rdma:NaN",          // probability not a number
+		"bogus:cxl:1s-2s",              // unknown kind
+		"outage:cxl",                   // missing window
+		"outage:cxl:20s-10s",           // empty window
+		"degrade:rdma:3:1s-2s",         // factor missing x suffix
+		"degrade:rdma:0.5x:1s-2s",      // factor <= 1
+		"flaky:rdma:1.5",               // probability out of range
+		"flaky:rdma:0.2:oops",          // bad option
+		"crash:n1:soon",                // bad duration
+		"flap:nas:10s/20s:x3",          // down > period
+		"flap:nas:10s/2s:3",            // count missing x prefix
+		"flap:nas:10s/2s:x10001",       // count over maxFlapCount
+		"flap:nas:2562047h/1h:x2",      // last flap past the end of virtual time
+		"degrade:rdma:NaNx:1s-2s",      // factor not a number
+		"degrade:rdma:Infx:1s-2s",      // factor not finite
+		"flaky:rdma:NaN",               // probability not a number
+		"outage:bogus:1s-2s,crash::5s", // misspelt pool: the outage would never fire
+		"degrade:local:3x:1s-2s",       // node DRAM is never fetched through an injector
+		"flaky:CXL:0.2",                // pool names are the lower-case kind names
+		"flap::10s/2s:x3",              // no pool at all
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {

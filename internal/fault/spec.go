@@ -20,8 +20,9 @@ import (
 //
 //	outage:cxl:10s-20s,flaky:rdma:0.2:burst=3,crash:n1:30s
 //
-// The parsed scenario must pass Scenario.Validate, which among other
-// things caps a flap's x<count> at 10000.
+// <pool> is one of cxl, rdma, nas or tmpfs. The parsed scenario must
+// pass Scenario.Validate, which among other things checks the pool name
+// and caps a flap's x<count> at 10000.
 func ParseSpec(spec string) (Scenario, error) {
 	var sc Scenario
 	for _, clause := range strings.Split(spec, ",") {

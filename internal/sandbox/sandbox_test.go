@@ -26,7 +26,7 @@ func TestCreateCostsInTable1Range(t *testing.T) {
 	f := NewFactory(DefaultCostModel())
 	took := runProc(t, func(p *sim.Proc) {
 		sb, b := f.Create(p, "fnA")
-		if sb.Function != "fnA" || sb.Rootfs.Overlay != "fnA" || sb.Cgroup.Function != "fnA" {
+		if sb.Function != "fnA" || sb.Procs != 1 || sb.DirtyUpper {
 			t.Errorf("sandbox not configured for fnA: %+v", sb)
 		}
 		if b.NetNS < 80*time.Millisecond {
@@ -101,11 +101,14 @@ func TestCleanEnforcesIsolationInvariants(t *testing.T) {
 		if sb.Function != "" {
 			t.Error("sandbox still occupied after clean")
 		}
-		if !sb.Rootfs.DirtyUpper {
+		if sb.Procs != 0 {
+			t.Errorf("%d processes survived cleaning", sb.Procs)
+		}
+		if !sb.DirtyUpper {
 			t.Error("upper dir purge should be pending (async)")
 		}
 		p.Sleep(5 * time.Millisecond) // async purge completes
-		if sb.Rootfs.DirtyUpper {
+		if sb.DirtyUpper {
 			t.Error("async purge never completed")
 		}
 	})
@@ -124,11 +127,8 @@ func TestRepurposeIsFastAndReconfigures(t *testing.T) {
 			return
 		}
 		repurposeCost = d
-		if sb.Function != "fnB" || sb.Rootfs.Overlay != "fnB" || sb.Cgroup.Function != "fnB" {
+		if sb.Function != "fnB" || sb.Procs != 1 {
 			t.Errorf("sandbox not reconfigured: %+v", sb)
-		}
-		if sb.Generation != 1 {
-			t.Errorf("generation = %d", sb.Generation)
 		}
 	})
 	// Paper: rootfs reconfig < 1 ms, CLONE_INTO_CGROUP 100-300 µs.
@@ -141,7 +141,8 @@ func TestRepurposeIsFastAndReconfigures(t *testing.T) {
 }
 
 func TestRepurposeBeforePurgePaysSyncCost(t *testing.T) {
-	f := NewFactory(DefaultCostModel())
+	cm := DefaultCostModel()
+	f := NewFactory(cm)
 	runProc(t, func(p *sim.Proc) {
 		sb, _ := f.Create(p, "fnA")
 		f.Clean(p, sb)
@@ -151,11 +152,56 @@ func TestRepurposeBeforePurgePaysSyncCost(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if d < 2*time.Millisecond {
-			t.Errorf("synchronous purge not charged: %v", d)
+		if purge := d - 2*cm.OverlayMount; purge < 2*time.Millisecond+cm.CloneIntoCgroupMin || purge > 2*time.Millisecond+cm.CloneIntoCgroupMax {
+			t.Errorf("repurpose cost %v does not carry the 2ms synchronous purge", d)
 		}
-		if sb.Rootfs.DirtyUpper {
+		if sb.DirtyUpper {
 			t.Error("upper dir still dirty after repurpose")
+		}
+	})
+}
+
+// TestRepurposeNeedsTwoMounts: §5.2.1 — with the purge done, repurposing
+// costs exactly the two overlay mount syscalls plus the
+// CLONE_INTO_CGROUP spawn, nothing more.
+func TestRepurposeNeedsTwoMounts(t *testing.T) {
+	cm := DefaultCostModel()
+	f := NewFactory(cm)
+	runProc(t, func(p *sim.Proc) {
+		sb, _ := f.Create(p, "fnA")
+		f.Clean(p, sb)
+		p.Sleep(5 * time.Millisecond)
+		d, err := f.Repurpose(p, sb, "fnB")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if spawn := d - 2*cm.OverlayMount; spawn < cm.CloneIntoCgroupMin || spawn > cm.CloneIntoCgroupMax {
+			t.Errorf("repurpose cost %v is not 2 mounts (%v each) plus a spawn in [%v,%v]",
+				d, cm.OverlayMount, cm.CloneIntoCgroupMin, cm.CloneIntoCgroupMax)
+		}
+	})
+}
+
+// TestUpperDirPurgedBeforeNextFunction is the §8.1.1 file invariant: a
+// purge Clean started is done before the next occupant runs, whether it
+// finished on its own or Repurpose had to finish it. Cleaning again
+// re-arms it.
+func TestUpperDirPurgedBeforeNextFunction(t *testing.T) {
+	f := NewFactory(DefaultCostModel())
+	runProc(t, func(p *sim.Proc) {
+		sb, _ := f.Create(p, "fnA")
+		for _, fn := range []string{"fnB", "fnC"} {
+			f.Clean(p, sb)
+			if !sb.DirtyUpper {
+				t.Fatal("clean did not start the upper-dir purge")
+			}
+			if _, err := f.Repurpose(p, sb, fn); err != nil {
+				t.Fatal(err)
+			}
+			if sb.DirtyUpper {
+				t.Fatalf("%s sees a dirty upper dir", fn)
+			}
 		}
 	})
 }

@@ -45,12 +45,11 @@ func TestCarriersExitAfterShutdown(t *testing.T) {
 	for _, inside := range []bool{false, true} {
 		base := runtime.NumGoroutine()
 		e := NewEngine(1)
-		var sig Signal
 		cleanups, started := 0, 0
 		for i := 0; i < 8; i++ {
 			e.Go("stuck", "", func(p *Proc) {
 				defer func() { cleanups++ }()
-				sig.Wait(p) // never broadcast
+				p.Park() // never woken
 			})
 			e.At(time.Hour, "late", "", func(p *Proc) { started++ })
 		}

@@ -367,26 +367,3 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // during long runs, and wall-clock self-benchmarks can derive events/sec
 // without touching virtual time or the deterministic event order.
 func (e *Engine) Events() int64 { return e.events }
-
-// Signal is a broadcast condition variable for simulated processes.
-type Signal struct {
-	waiters []*Proc
-}
-
-// Wait parks p until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
-// Broadcast wakes every waiter at the current virtual time.
-func (s *Signal) Broadcast(e *Engine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		e.push(event{at: e.now, proc: w})
-	}
-}
-
-// Waiters reports how many processes are parked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) }
